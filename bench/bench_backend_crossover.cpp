@@ -16,8 +16,8 @@
 // cost above HLS (blocking reloads are work), below RTMP (no per-frame
 // push), with the fixed part-slicing overhead visible at zero viewers.
 //
-// Results land in BENCH_backends.json; scripts/check_backends.sh greps
-// the contract lines.
+// Results land in BENCH_backends.json. Every contract above fails the
+// exit code.
 //
 // Usage: bench_backend_crossover [out.json] [repetitions]  (default 10)
 #include <chrono>
@@ -90,7 +90,10 @@ void write_json(const char* path, int reps,
                rtmp_vs_llhls, rtmp_vs_hls);
   std::fprintf(f, "  \"wall_ms_per_rep\": %.1f\n", wall_ms_per_rep);
   std::fprintf(f, "}\n");
-  std::fclose(f);
+  if (std::fclose(f) != 0) {  // a failed flush leaves a truncated file
+    std::fprintf(stderr, "cannot write %s\n", path);
+    std::exit(1);
+  }
 }
 
 }  // namespace

@@ -34,7 +34,7 @@
 // LIVESIM_BENCH_SCALE=1 is set, so default CI wall-clock holds.
 //
 // Results land in BENCH_crowd.json next to BENCH_engine.json and
-// BENCH_control.json; scripts/check_crowd.sh greps the contract lines.
+// BENCH_control.json. Every contract above fails the exit code.
 //
 // Usage: bench_crowd_service [out.json] [viewers]  (default 100000)
 #include <sys/resource.h>
@@ -120,7 +120,27 @@ analysis::FlashCrowdConfig giant_config(std::uint32_t viewers,
   return cfg;
 }
 
+// Per-rung peak RSS. getrusage's ru_maxrss is a process-lifetime
+// high-water mark, so every rung after the largest would repeat its peak.
+// Writing 5 to /proc/self/clear_refs resets the kernel's mark (VmHWM) to
+// the current RSS, so the VmHWM read after a rung is that rung's own
+// peak. Without /proc this falls back to ru_maxrss.
+void reset_peak_rss() {
+  if (std::FILE* f = std::fopen("/proc/self/clear_refs", "w")) {
+    std::fputs("5", f);
+    std::fclose(f);
+  }
+}
+
 long peak_rss_kb() {
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    long kb = -1;
+    while (kb < 0 && std::fgets(line, sizeof line, f) != nullptr)
+      if (std::strncmp(line, "VmHWM:", 6) == 0) kb = std::atol(line + 6);
+    std::fclose(f);
+    if (kb >= 0) return kb;
+  }
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);
   return ru.ru_maxrss;  // kilobytes on Linux
@@ -144,6 +164,7 @@ ScalingRun run_scaling(const geo::DatacenterCatalog& catalog,
                        std::uint32_t viewers, unsigned threads,
                        std::uint32_t sub_shards) {
   const auto cfg = giant_config(viewers, threads, sub_shards);
+  reset_peak_rss();
   const auto t0 = std::chrono::steady_clock::now();
   const auto r = analysis::flash_crowd_experiment(catalog, cfg);
   const auto t1 = std::chrono::steady_clock::now();
@@ -259,7 +280,10 @@ void write_json(const char* path, const analysis::FlashCrowdConfig& cfg,
   }
   std::fprintf(f, "  ]\n");
   std::fprintf(f, "}\n");
-  std::fclose(f);
+  if (std::fclose(f) != 0) {  // a failed flush leaves a truncated file
+    std::fprintf(stderr, "cannot write %s\n", path);
+    std::exit(1);
+  }
 }
 
 }  // namespace

@@ -21,9 +21,8 @@
 //
 // Each mix runs `reps` times. Wall-clock numbers come from the fastest
 // rep (least scheduler noise); every rep also folds its observable firing
-// order into an FNV-1a fingerprint, and all reps must agree -- the
-// "fingerprint=... identical: yes" contract lines below are grepped by
-// CI exactly like the resilience determinism contracts.
+// order into an FNV-1a fingerprint, and all reps must agree -- a
+// disagreement prints "NO -- BUG" and fails the exit code.
 //
 // Usage: bench_engine_baseline [out.json] [n_events] [reps]
 //        defaults: BENCH_engine.json 1000000 3
@@ -38,6 +37,7 @@
 
 #include "livesim/sim/poll_wheel.h"
 #include "livesim/sim/simulator.h"
+#include "livesim/util/fingerprint.h"
 #include "livesim/util/rng.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -46,14 +46,6 @@
 
 namespace {
 using namespace livesim;
-
-struct FnvMixer {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  }
-};
 
 long peak_rss_kb() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -89,7 +81,7 @@ struct MixResult {
 };
 
 // schedule_run: the BM_EventQueueScheduleRun shape, at macro scale.
-std::uint64_t run_schedule_mix(std::size_t n, FnvMixer& fp,
+std::uint64_t run_schedule_mix(std::size_t n, Fingerprint& fp,
                                std::uint64_t* dispatched) {
   sim::Simulator sim;
   std::uint64_t sink = 0;
@@ -107,7 +99,7 @@ std::uint64_t run_schedule_mix(std::size_t n, FnvMixer& fp,
 }
 
 // cancel_heavy: arm n timers, defuse every other one, drain the rest.
-std::uint64_t run_cancel_mix(std::size_t n, FnvMixer& fp,
+std::uint64_t run_cancel_mix(std::size_t n, Fingerprint& fp,
                              std::uint64_t* dispatched) {
   sim::Simulator sim;
   std::vector<sim::EventHandle> handles(n);
@@ -131,7 +123,7 @@ std::uint64_t run_cancel_mix(std::size_t n, FnvMixer& fp,
 }
 
 // periodic_heavy: k processes x enough ticks to total ~n firings.
-std::uint64_t run_periodic_mix(std::size_t n, FnvMixer& fp,
+std::uint64_t run_periodic_mix(std::size_t n, Fingerprint& fp,
                                std::uint64_t* dispatched) {
   sim::Simulator sim;
   constexpr std::size_t kProcs = 64;
@@ -175,7 +167,7 @@ constexpr std::size_t kCrowdViewers = 100000;
 constexpr TimeUs kCrowdPeriod = 2800000;  // 2.8 s in us
 constexpr std::uint32_t kCrowdBuckets = 64;
 
-std::uint64_t run_flash_crowd_mix(std::size_t n, FnvMixer& fp,
+std::uint64_t run_flash_crowd_mix(std::size_t n, Fingerprint& fp,
                                   std::uint64_t* dispatched,
                                   FlashCrowdStats* stats) {
   const std::size_t intervals =
@@ -185,7 +177,7 @@ std::uint64_t run_flash_crowd_mix(std::size_t n, FnvMixer& fp,
   // --- wheel lane ---
   std::uint64_t wheel_events = 0;
   std::uint64_t wheel_ns = 0;
-  FnvMixer wheel_order;
+  Fingerprint wheel_order;
   std::uint64_t wheel_polls = 0;
   {
     sim::Simulator sim;
@@ -212,7 +204,7 @@ std::uint64_t run_flash_crowd_mix(std::size_t n, FnvMixer& fp,
   // --- per-viewer-timer baseline, identical phases & work ---
   std::uint64_t timer_events = 0;
   std::uint64_t timer_ns = 0;
-  FnvMixer timer_order;
+  Fingerprint timer_order;
   std::uint64_t timer_polls = 0;
   {
     sim::Simulator sim;
@@ -243,10 +235,10 @@ std::uint64_t run_flash_crowd_mix(std::size_t n, FnvMixer& fp,
     timer_events = sim.events_processed();
   }
 
-  fp.mix(wheel_order.h);
+  fp.mix(wheel_order.value());
   fp.mix(wheel_polls);
   fp.mix(wheel_events);
-  fp.mix(timer_order.h);
+  fp.mix(timer_order.value());
   fp.mix(timer_events);
   *dispatched = wheel_polls;
 
@@ -256,8 +248,8 @@ std::uint64_t run_flash_crowd_mix(std::size_t n, FnvMixer& fp,
     stats->timer_ns = timer_ns;
     stats->wheel_events_per_interval = wheel_events / intervals;
     stats->timer_events_per_interval = timer_events / intervals;
-    stats->order_parity =
-        wheel_order.h == timer_order.h && wheel_polls == timer_polls;
+    stats->order_parity = wheel_order.value() == timer_order.value() &&
+                          wheel_polls == timer_polls;
   }
   return wheel_ns;
 }
@@ -269,14 +261,14 @@ MixResult measure(const char* name, std::size_t n, int reps, MixFn mix) {
   r.best_ns = ~0ULL;
   std::uint64_t first_fp = 0;
   for (int rep = 0; rep < reps; ++rep) {
-    FnvMixer fp;
+    Fingerprint fp;
     std::uint64_t dispatched = 0;
     const std::uint64_t ns = mix(n, fp, &dispatched);
     if (ns < r.best_ns) r.best_ns = ns;
     r.events = dispatched;
     if (rep == 0) {
-      first_fp = fp.h;
-    } else if (fp.h != first_fp) {
+      first_fp = fp.value();
+    } else if (fp.value() != first_fp) {
       r.deterministic = false;
     }
   }
@@ -300,7 +292,7 @@ MixResult measure_flash_crowd(std::size_t n, int reps) {
   FlashCrowdStats stats;
   std::uint64_t best_timer_ns = ~0ULL;
   for (int rep = 0; rep < reps; ++rep) {
-    FnvMixer fp;
+    Fingerprint fp;
     std::uint64_t dispatched = 0;
     FlashCrowdStats s;
     const std::uint64_t ns = run_flash_crowd_mix(n, fp, &dispatched, &s);
@@ -309,8 +301,8 @@ MixResult measure_flash_crowd(std::size_t n, int reps) {
     r.events = dispatched;
     stats = s;
     if (rep == 0) {
-      first_fp = fp.h;
-    } else if (fp.h != first_fp) {
+      first_fp = fp.value();
+    } else if (fp.value() != first_fp) {
       r.deterministic = false;
     }
   }

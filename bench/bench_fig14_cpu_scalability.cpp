@@ -20,31 +20,29 @@
 #include "livesim/media/encoder.h"
 #include "livesim/sim/simulator.h"
 #include "livesim/stats/report.h"
+#include "livesim/util/fingerprint.h"
 
 namespace {
 using namespace livesim;
 
-// Event-level validation: run an ingest server that actually pushes frames
-// to N subscribers for 30 s and read its CPU meter.
 // Position-sensitive FNV-style fingerprint of a trace set: any reordering
 // or single-tick change shows up. Used to certify that the sharded runs
 // produced bit-identical traces.
 std::uint64_t fingerprint(const std::vector<analysis::BroadcastTrace>& traces) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
+  Fingerprint fp;
   for (const auto& t : traces) {
-    for (const TimeUs a : t.frame_arrivals) mix(static_cast<std::uint64_t>(a));
+    for (const TimeUs a : t.frame_arrivals)
+      fp.mix(static_cast<std::uint64_t>(a));
     for (const auto& c : t.chunks) {
-      mix(static_cast<std::uint64_t>(c.completed_at_ingest));
-      mix(c.bytes);
+      fp.mix(static_cast<std::uint64_t>(c.completed_at_ingest));
+      fp.mix(c.bytes);
     }
   }
-  return h;
+  return fp.value();
 }
 
+// Event-level validation: run an ingest server that actually pushes frames
+// to N subscribers for 30 s and read its CPU meter.
 double measured_rtmp_cpu(std::uint32_t viewers) {
   sim::Simulator sim;
   cdn::IngestServer server(sim, DatacenterId{0}, media::Chunker::Params{},

@@ -4,7 +4,7 @@
 // capacity-spill experiment must reproduce PR 3's single-nearest-edge
 // regional experiment bit for bit — same stall samples in the same
 // order, same failover latencies, same counters — at several radii.
-// scripts/check_resilience.sh greps the "identical: yes" lines.
+// A mismatch prints "NO -- BUG" and fails the exit code.
 //
 // Part 2 sweeps capacity x outage radius: as capacity tightens, failed-
 // over viewers overflow past full PoPs (spills), travel farther
@@ -23,32 +23,15 @@
 // Usage: bench_resilience_capacity_spill [broadcasts]   (default 300)
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "livesim/analysis/resilience.h"
 #include "livesim/core/broadcast_session.h"
 #include "livesim/fault/scenario.h"
 #include "livesim/stats/report.h"
+#include "livesim/util/fingerprint.h"
 
 namespace {
 using namespace livesim;
-
-struct FnvMixer {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  }
-  void mix_double(double x) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(x), "double is 64-bit");
-    std::memcpy(&bits, &x, sizeof(bits));
-    mix(bits);
-  }
-  void mix_samples(const stats::Sampler& s) {
-    for (double x : s.samples()) mix_double(x);
-  }
-};
 
 // The projection both experiments share: every sample (bit pattern,
 // insertion order) plus the common counters. Identical mixing on both
@@ -57,20 +40,20 @@ std::uint64_t fingerprint_common(const stats::Sampler& stall,
                                  const stats::Sampler& latency,
                                  const analysis::RegionalOutageCounters& c,
                                  std::size_t dark_edges) {
-  FnvMixer m;
-  m.mix_samples(stall);
-  m.mix_samples(latency);
+  Fingerprint m;
+  for (double x : stall.samples()) m.mix_double(x);
+  for (double x : latency.samples()) m.mix_double(x);
   m.mix(c.viewers);
   m.mix(c.affected);
   m.mix(c.failovers);
   m.mix(c.orphaned);
   m.mix(static_cast<std::uint64_t>(dark_edges));
-  return m.h;
+  return m.value();
 }
 
 // Everything the capacity experiment reports, spill ledgers included.
 std::uint64_t fingerprint_full(const analysis::CapacitySpillStats& r) {
-  FnvMixer m;
+  Fingerprint m;
   m.mix(fingerprint_common(r.stall_ratio, r.failover_latency_s, r.counters,
                            r.dark_edges));
   m.mix(r.edge_spills);
@@ -81,7 +64,7 @@ std::uint64_t fingerprint_full(const analysis::CapacitySpillStats& r) {
     m.mix(site);
     m.mix(peak);
   }
-  return m.h;
+  return m.value();
 }
 
 analysis::CapacitySpillConfig config_for(double radius_km,

@@ -5,8 +5,7 @@
 // (analysis/resilience.h): stall ratio, rebuffer events, RTMP->HLS
 // failover latency, and the unrecoverable-viewer fraction all grow with
 // the fault rate, while the zero-rate row degenerates to the sunny-day
-// baseline (no failovers, no retries — asserted, and printed in a form
-// scripts/check_resilience.sh greps for).
+// baseline (no failovers, no retries — asserted through the exit code).
 //
 // Part 2 certifies the determinism contract: the same seed produces a
 // bit-identical ResilienceStats at threads {1, 2, 8}.
@@ -19,11 +18,11 @@
 // Usage: bench_resilience_fault_sweep [broadcasts]   (default 800)
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "livesim/analysis/resilience.h"
 #include "livesim/core/broadcast_session.h"
 #include "livesim/stats/report.h"
+#include "livesim/util/fingerprint.h"
 
 namespace {
 using namespace livesim;
@@ -33,29 +32,17 @@ using namespace livesim;
 // mixed in, so any reordering or single-ULP drift across thread counts
 // shows up.
 std::uint64_t fingerprint(const analysis::ResilienceStats& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  auto mix_samples = [&](const stats::Sampler& s) {
-    for (double x : s.samples()) {
-      std::uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(x), "double is 64-bit");
-      std::memcpy(&bits, &x, sizeof(bits));
-      mix(bits);
-    }
-  };
-  mix_samples(r.stall_ratio);
-  mix_samples(r.rebuffer_count);
-  mix_samples(r.failover_latency_s);
-  mix(r.counters.viewers);
-  mix(r.counters.faults_injected);
-  mix(r.counters.ingest_crashes);
-  mix(r.counters.failovers);
-  mix(r.counters.unrecoverable);
-  mix(r.counters.chunk_refetches);
-  return h;
+  Fingerprint fp;
+  for (double x : r.stall_ratio.samples()) fp.mix_double(x);
+  for (double x : r.rebuffer_count.samples()) fp.mix_double(x);
+  for (double x : r.failover_latency_s.samples()) fp.mix_double(x);
+  return fp.mix(r.counters.viewers)
+      .mix(r.counters.faults_injected)
+      .mix(r.counters.ingest_crashes)
+      .mix(r.counters.failovers)
+      .mix(r.counters.unrecoverable)
+      .mix(r.counters.chunk_refetches)
+      .value();
 }
 
 analysis::ResilienceConfig config_for_rate(double faults_per_minute) {
@@ -104,8 +91,8 @@ int main(int argc, char** argv) {
          stats::Table::integer(
              static_cast<std::int64_t>(r.counters.chunk_refetches))});
     if (rate == 0.0) {
-      // The greppable contract line for scripts/check_resilience.sh: a
-      // zero fault rate must be indistinguishable from no fault subsystem.
+      // The contract: a zero fault rate must be indistinguishable from no
+      // fault subsystem.
       std::printf("no-fault baseline: faults=%llu failovers=%llu "
                   "unrecoverable=%llu refetches=%llu rebuffer_mean=%.3f\n",
                   static_cast<unsigned long long>(r.counters.faults_injected),

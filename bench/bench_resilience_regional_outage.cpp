@@ -4,9 +4,8 @@
 // crawled traces (analysis/resilience.h): as the radius grows, more edge
 // PoPs go dark together, the affected-viewer fraction and stall ratio
 // rise, and failover latency grows as survivors re-anycast ever farther.
-// The zero-radius row is the contract scripts/check_resilience.sh greps
-// for: a single-PoP death must re-anycast 100% of its viewers (failovers
-// == affected) with zero orphans.
+// The zero-radius row is a contract: a single-PoP death must re-anycast
+// 100% of its viewers (failovers == affected) with zero orphans.
 //
 // Part 2 certifies the determinism contract: the same seed produces a
 // bit-identical RegionalOutageStats at threads {1, 2, 8} (per-trace RNG
@@ -22,12 +21,12 @@
 // Usage: bench_resilience_regional_outage [broadcasts]   (default 600)
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "livesim/analysis/resilience.h"
 #include "livesim/core/service.h"
 #include "livesim/fault/scenario.h"
 #include "livesim/stats/report.h"
+#include "livesim/util/fingerprint.h"
 
 namespace {
 using namespace livesim;
@@ -36,27 +35,15 @@ using namespace livesim;
 // insertion order) and every counter is mixed in, so any reordering or
 // single-ULP drift across thread counts shows up.
 std::uint64_t fingerprint(const analysis::RegionalOutageStats& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  auto mix_samples = [&](const stats::Sampler& s) {
-    for (double x : s.samples()) {
-      std::uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(x), "double is 64-bit");
-      std::memcpy(&bits, &x, sizeof(bits));
-      mix(bits);
-    }
-  };
-  mix_samples(r.stall_ratio);
-  mix_samples(r.failover_latency_s);
-  mix(r.counters.viewers);
-  mix(r.counters.affected);
-  mix(r.counters.failovers);
-  mix(r.counters.orphaned);
-  mix(static_cast<std::uint64_t>(r.dark_edges));
-  return h;
+  Fingerprint fp;
+  for (double x : r.stall_ratio.samples()) fp.mix_double(x);
+  for (double x : r.failover_latency_s.samples()) fp.mix_double(x);
+  return fp.mix(r.counters.viewers)
+      .mix(r.counters.affected)
+      .mix(r.counters.failovers)
+      .mix(r.counters.orphaned)
+      .mix(static_cast<std::uint64_t>(r.dark_edges))
+      .value();
 }
 
 analysis::RegionalOutageConfig config_for_radius(double radius_km) {
@@ -106,7 +93,7 @@ int main(int argc, char** argv) {
          stats::Table::num(
              100.0 * static_cast<double>(r.counters.orphaned) / denom, 2)});
     if (radius == 0.0) {
-      // The greppable contract: a single dead PoP re-anycasts every one
+      // The contract: a single dead PoP re-anycasts every one
       // of its viewers -- no orphans, failovers == affected.
       std::printf("zero-radius contract: dark_edges=%zu affected=%llu "
                   "failovers=%llu orphaned=%llu\n",

@@ -1,7 +1,6 @@
 #include "livesim/analysis/flash_crowd.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <map>
 #include <numeric>
@@ -11,6 +10,7 @@
 #include "livesim/fault/scenario.h"
 #include "livesim/sim/parallel.h"
 #include "livesim/sim/simulator.h"
+#include "livesim/util/fingerprint.h"
 #include "livesim/util/rng.h"
 
 namespace livesim::analysis {
@@ -270,22 +270,9 @@ FlashCrowdStats flash_crowd_experiment(const geo::DatacenterCatalog& catalog,
   }
 
   // ---- Merge + fingerprints, in (channel, sub-shard) unit order. ----
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  const auto mix_double = [&](double d) { mix(std::bit_cast<std::uint64_t>(d)); };
-
+  Fingerprint fp;
   // The partition-invariant crowd core gets its own hash chain.
-  std::uint64_t ch = 0xcbf29ce484222325ULL;
-  const auto cmix = [&ch](std::uint64_t v) {
-    ch ^= v;
-    ch *= 0x100000001b3ULL;
-  };
-  const auto cmix_double = [&](double d) {
-    cmix(std::bit_cast<std::uint64_t>(d));
-  };
+  Fingerprint core_fp;
 
   // Analytic admission latency: the drive's batch fires at quantize(join)
   // (BatchTimeline ceils to the window grid; drives are scheduled at
@@ -325,26 +312,26 @@ FlashCrowdStats flash_crowd_experiment(const geo::DatacenterCatalog& catalog,
     stats.events_processed += o.events_processed;
     for (const auto& [site, peak] : o.peak_loads) peaks[site] += peak;
 
-    mix(o.drive.joins);
-    mix(o.drive.late_joins);
-    mix(o.drive.leaves);
-    mix(o.drive.batches);
-    mix(o.drive.admission_latency_s.count());
-    mix_double(o.drive.admission_latency_s.mean());
-    mix_double(o.drive.admission_latency_s.max());
-    mix(o.steered_joins);
-    mix(o.edge_failovers);
-    mix(o.edge_failover_latency_s.count());
-    mix_double(o.edge_failover_latency_s.mean());
-    mix(o.proactive_migrations);
-    mix(o.orphaned_viewers);
-    mix(o.edge_spills);
-    mix(o.overlay_assists);
-    mix(o.control_drains);
-    mix(o.events_processed);
+    fp.mix(o.drive.joins);
+    fp.mix(o.drive.late_joins);
+    fp.mix(o.drive.leaves);
+    fp.mix(o.drive.batches);
+    fp.mix(o.drive.admission_latency_s.count());
+    fp.mix_double(o.drive.admission_latency_s.mean());
+    fp.mix_double(o.drive.admission_latency_s.max());
+    fp.mix(o.steered_joins);
+    fp.mix(o.edge_failovers);
+    fp.mix(o.edge_failover_latency_s.count());
+    fp.mix_double(o.edge_failover_latency_s.mean());
+    fp.mix(o.proactive_migrations);
+    fp.mix(o.orphaned_viewers);
+    fp.mix(o.edge_spills);
+    fp.mix(o.overlay_assists);
+    fp.mix(o.control_drains);
+    fp.mix(o.events_processed);
     for (const auto& [site, peak] : o.peak_loads) {
-      mix(site);
-      mix(peak);
+      fp.mix(site);
+      fp.mix(peak);
     }
 
     // Per-record crowd core, channel-major global record order (unit
@@ -353,30 +340,30 @@ FlashCrowdStats flash_crowd_experiment(const geo::DatacenterCatalog& catalog,
     std::size_t flat = 0;
     for (std::size_t i = 0; i < outcomes[u].admitted.size(); ++i) {
       const bool admitted = outcomes[u].admitted[i] != 0;
-      cmix(admitted ? 1 : 0);
+      core_fp.mix(admitted ? 1 : 0);
       if (!admitted) continue;
       const double lat = admission_latency(slice_records[unit.begin + i]);
-      cmix_double(lat);
+      core_fp.mix_double(lat);
       if (substreams) stats.admission_latency_s.add(lat);
       const std::uint32_t n = outcomes[u].reattach_count[i];
-      cmix(n);
+      core_fp.mix(n);
       for (std::uint32_t k = 0; k < n; ++k) {
         const double sample = outcomes[u].reattach_flat[flat++];
-        cmix_double(sample);
+        core_fp.mix_double(sample);
         if (substreams) stats.reattach_latency_s.add(sample);
       }
     }
   }
-  cmix(stats.joins);
-  cmix(stats.late_joins);
-  cmix(stats.leaves);
-  cmix(stats.edge_failovers);
-  cmix(stats.orphaned_viewers);
+  core_fp.mix(stats.joins);
+  core_fp.mix(stats.late_joins);
+  core_fp.mix(stats.leaves);
+  core_fp.mix(stats.edge_failovers);
+  core_fp.mix(stats.orphaned_viewers);
 
   for (const auto& [site, peak] : peaks)
     stats.peak_edge_load = std::max(stats.peak_edge_load, peak);
-  stats.fingerprint = h;
-  stats.crowd_fingerprint = ch;
+  stats.fingerprint = fp.value();
+  stats.crowd_fingerprint = core_fp.value();
   return stats;
 }
 

@@ -909,17 +909,11 @@ DurationUs BroadcastSession::poll_slot_width() const noexcept {
   return w < 1 ? 1 : w;
 }
 
-DurationUs BroadcastSession::effective_poll_interval() const noexcept {
-  return poll_slot_width() * std::max<std::uint32_t>(1,
-                                                     config_.poll_wheel_slots);
-}
-
 TimeUs BroadcastSession::quantized_poll_phase(Rng& rng) {
   // Random poll phase: viewers are not synchronized with chunk arrivals,
   // which is exactly what makes the polling delay a uniform-ish draw over
   // the interval (§5.2). Quantized onto the wheel grid — the smallest
-  // slot boundary at or past the raw phase, strictly after now — so the
-  // wheel lane and the per-viewer-timer lane tick at identical instants.
+  // slot boundary at or past the raw phase, strictly after now.
   const TimeUs raw =
       sim_.now() + static_cast<TimeUs>(rng.uniform() *
                                        static_cast<double>(
@@ -971,7 +965,6 @@ void BroadcastSession::set_poll_outstanding(Viewer& v, bool value) {
 }
 
 void BroadcastSession::teardown_polling(Viewer& v) {
-  if (v.poll_process) v.poll_process->stop();
   if (v.cohort_wheel != nullptr) {
     v.cohort_wheel->detach(v.cohort);
     v.cohort_wheel = nullptr;
@@ -1003,29 +996,11 @@ void BroadcastSession::start_hls_polling(Viewer& v) {
     v.reattach_samples.push_back(delay_s);
   }
 
-  if (config_.poll_wheel) {
-    // Wheel lane: the viewer joins its edge's cohort; one engine event
-    // per edge per tick fans out to everyone due in that bucket.
-    auto& wheel = wheel_for(edge_for(v.attachment));
-    v.cohort_wheel = &wheel;
-    v.cohort = wheel.attach(phase, static_cast<std::uint64_t>(v.index));
-    return;
-  }
-
-  // Timer lane (the reference path): one PeriodicProcess per viewer on
-  // the same quantized grid, running the same transaction — byte-
-  // identical results at O(viewers) engine cost.
-  auto* viewer = &v;
-  // Attachment epoch this polling loop belongs to: after a migration the
-  // client closed this connection, so a tick from the stale timer must
-  // stop instead of polling the new attachment.
-  const std::uint64_t gen = v.generation;
-  v.poll_process = std::make_unique<sim::PeriodicProcess>(
-      sim_, phase, effective_poll_interval(),
-      [this, viewer, gen](sim::PeriodicProcess& proc) {
-        if (viewer->generation != gen || !poll_tick(*viewer, sim_.now()))
-          proc.stop();
-      });
+  // The viewer joins its edge's cohort; one engine event per edge per
+  // tick fans out to everyone due in that bucket.
+  auto& wheel = wheel_for(edge_for(v.attachment));
+  v.cohort_wheel = &wheel;
+  v.cohort = wheel.attach(phase, static_cast<std::uint64_t>(v.index));
 }
 
 bool BroadcastSession::poll_tick(Viewer& v, TimeUs tick_time) {
@@ -1100,9 +1075,9 @@ void BroadcastSession::poll_failed(Viewer& v, std::uint64_t gen) {
     v.retry = std::make_unique<client::PollRetryState>(config_.poll_retry);
   if (!v.retry_rng) v.retry_rng = std::make_unique<Rng>(viewer_rng(v).fork());
 
-  // Solo-timer demotion: the viewer leaves the wheel (or stops its
-  // timer); PollRetryState alone paces the next attempt, so backoff
-  // timing is exactly the client/retry.h schedule, never wheel-aligned.
+  // Solo-timer demotion: the viewer leaves the wheel; PollRetryState
+  // alone paces the next attempt, so backoff timing is exactly the
+  // client/retry.h schedule, never wheel-aligned.
   teardown_polling(v);
   const auto retry_at = v.retry->on_failure(sim_.now(), *v.retry_rng);
   if (!retry_at) return;  // gave up: inert until failover rescues it
@@ -1117,12 +1092,10 @@ void BroadcastSession::poll_failed(Viewer& v, std::uint64_t gen) {
 
 void BroadcastSession::poll_succeeded(Viewer& v) {
   if (v.retry) v.retry->on_success();
-  // Re-promote a demoted viewer to the steady-state tick source (fresh
-  // quantized phase). No-op while a wheel slot or timer is live.
-  const bool attached =
-      (v.cohort_wheel != nullptr && v.cohort_wheel->attached(v.cohort)) ||
-      (v.poll_process && v.poll_process->running());
-  if (!attached) start_hls_polling(v);
+  // Re-promote a demoted viewer to the wheel (fresh quantized phase).
+  // No-op while its wheel slot is live.
+  if (v.cohort_wheel == nullptr || !v.cohort_wheel->attached(v.cohort))
+    start_hls_polling(v);
 }
 
 void BroadcastSession::finalize() {

@@ -77,28 +77,24 @@ struct SessionConfig {
   /// negative duration.
   cdn::LlHlsParams llhls{};
 
-  /// Poll aggregation (the flash-crowd fast path). When true, HLS viewers
-  /// are driven by their edge's bucketed sim::PollWheel — one engine
-  /// event per edge per tick fans out to the whole attached cohort — so
-  /// scheduling cost scales with edges, not viewers. When false, every
-  /// viewer owns a PeriodicProcess (the reference path). Both paths
-  /// quantize poll phases onto the same poll_wheel_slots grid and share
-  /// one poll transaction, so results are byte-identical either way.
-  bool poll_wheel = true;
-  /// Wheel buckets per rotation; slot width = hls_poll_interval / slots.
-  /// The effective poll interval is slot_width * slots (exact for the
-  /// 2.8 s / 64 default).
+  /// HLS viewers are driven by their edge's bucketed sim::PollWheel (the
+  /// flash-crowd fast path): one engine event per edge per tick fans out
+  /// to the whole attached cohort, so scheduling cost scales with edges,
+  /// not viewers. poll_wheel_slots is the wheel's buckets per rotation:
+  /// slot width = hls_poll_interval / slots, and poll phases are
+  /// quantized onto that grid. The effective poll interval is
+  /// slot_width * slots (exact for the 2.8 s / 64 default).
   std::uint32_t poll_wheel_slots = 64;
 
   /// Opt-in client poll retry (the solo-timer demotion lane). Off (the
   /// default): an unanswered poll wedges the outstanding flag and the
   /// viewer stops polling until failover migrates it — the historical
   /// behaviour, bit for bit. On: a poll unanswered after
-  /// poll_retry_timeout demotes the viewer from the wheel (or stops its
-  /// timer) to a solo one-shot timer paced by client::PollRetryState's
-  /// capped exponential backoff; the first answered poll re-promotes it
-  /// to the steady-state tick source with a fresh phase. A viewer whose
-  /// streak exhausts max_attempts goes inert until failover rescues it.
+  /// poll_retry_timeout demotes the viewer from the wheel to a solo
+  /// one-shot timer paced by client::PollRetryState's capped exponential
+  /// backoff; the first answered poll re-promotes it to the wheel with a
+  /// fresh phase. A viewer whose streak exhausts max_attempts goes inert
+  /// until failover rescues it.
   bool hls_poll_retry = false;
   client::PollRetryState::Params poll_retry{};
   DurationUs poll_retry_timeout = 1 * time::kSecond;
@@ -266,8 +262,7 @@ class BroadcastSession {
   /// refugee's first (quantized) poll tick on the new edge's wheel,
   /// seconds. The quantize-to-next-slot component of the end-to-end
   /// failover number above, scored separately (ROADMAP / PR 6 + 8
-  /// follow-up). Identical in the wheel and per-viewer-timer lanes
-  /// (both tick on the same quantized phase grid).
+  /// follow-up).
   const stats::Accumulator& reattach_latency_s() const noexcept {
     return reattach_latency_s_;
   }
@@ -383,14 +378,11 @@ class BroadcastSession {
     client::BlockingReloadLane reload;
     /// Index into viewers_ (the wheel's opaque member tag).
     std::size_t index = 0;
-    /// Tick source, one of three mutually exclusive lanes:
-    ///  * wheel lane (config.poll_wheel): cohort names this viewer's slot
-    ///    on cohort_wheel, the wheel owned by its attached edge;
-    ///  * timer lane (!config.poll_wheel): poll_process, one periodic
-    ///    timer on the same quantized grid;
+    /// Tick source, one of two mutually exclusive lanes:
+    ///  * wheel lane (the default): cohort names this viewer's slot on
+    ///    cohort_wheel, the wheel owned by its attached edge;
     ///  * solo retry lane (config.hls_poll_retry, after a timeout):
     ///    retry_event, one-shot attempts paced by PollRetryState.
-    std::unique_ptr<sim::PeriodicProcess> poll_process;  // HLS only
     sim::PollWheel* cohort_wheel = nullptr;
     sim::CohortSlot cohort{};
     sim::EventHandle retry_event{};
@@ -407,8 +399,8 @@ class BroadcastSession {
     std::vector<double> reattach_samples;
     std::int64_t last_seq = -1;
     /// One request in flight. While wheel-attached the authoritative bit
-    /// lives in the wheel's SoA cohort ledger; this bool covers the timer
-    /// and solo lanes (and viewers whose slot was just torn down).
+    /// lives in the wheel's SoA cohort ledger; this bool covers the solo
+    /// retry lane (and viewers whose slot was just torn down).
     bool poll_outstanding = false;
     /// Attachment epoch: bumped at every migration so responses in flight
     /// from a previous attachment are dropped (the client closed that
@@ -476,13 +468,12 @@ class BroadcastSession {
   bool poll_tick(Viewer& v, TimeUs tick_time);
   bool poll_outstanding(const Viewer& v) const;
   void set_poll_outstanding(Viewer& v, bool value);
-  /// Stops every tick source (wheel slot, timer, solo retry event) and
+  /// Stops every tick source (wheel slot, solo retry event) and
   /// clears the outstanding flag. Callers owning a migration bump the
   /// generation first so in-flight responses evaporate.
   void teardown_polling(Viewer& v);
-  /// Grid geometry shared by the wheel and the per-viewer timers.
+  /// Wheel slot geometry: the grid poll phases are quantized onto.
   DurationUs poll_slot_width() const noexcept;
-  DurationUs effective_poll_interval() const noexcept;
   TimeUs quantized_poll_phase(Rng& rng);
   /// The stream a viewer's randomness comes from: the personal substream
   /// when one exists, otherwise the shared session stream (legacy order).

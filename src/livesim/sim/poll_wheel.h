@@ -17,7 +17,7 @@
 // handle (viewer migrated away, slot recycled) can never touch the slot's
 // next tenant.
 //
-// Determinism contract (the wheels-on/off differential relies on it):
+// Determinism contract (the wheel-vs-timer differential relies on it):
 //  * fan-out visits a bucket's members in attach order (append-at-tail),
 //    which is exactly the firing order of one-PeriodicProcess-per-viewer
 //    timers created in the same order;

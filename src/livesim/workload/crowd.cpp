@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "livesim/sim/parallel.h"
+#include "livesim/util/fingerprint.h"
 #include "livesim/util/rng.h"
 
 namespace livesim::workload {
@@ -157,17 +158,13 @@ CrowdShape crowd_shape(const std::vector<CrowdRecord>& records,
 }
 
 std::uint64_t crowd_fingerprint(const std::vector<CrowdRecord>& records) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
+  Fingerprint fp;
   for (const auto& r : records) {
-    mix(r.channel);
-    mix(static_cast<std::uint64_t>(r.join));
-    mix(static_cast<std::uint64_t>(r.stay));
+    fp.mix(r.channel);
+    fp.mix(static_cast<std::uint64_t>(r.join));
+    fp.mix(static_cast<std::uint64_t>(r.stay));
   }
-  return h;
+  return fp.value();
 }
 
 }  // namespace livesim::workload

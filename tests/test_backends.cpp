@@ -23,7 +23,6 @@
 //     determinism of mixed three-tier sessions.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 
 #include "livesim/analysis/backends.h"
@@ -35,6 +34,7 @@
 #include "livesim/geo/datacenters.h"
 #include "livesim/sim/batch.h"
 #include "livesim/sim/simulator.h"
+#include "session_fingerprint.h"
 
 namespace {
 using namespace livesim;
@@ -205,53 +205,6 @@ TEST(DeliveryBackendInterface, ServeCostDegenerateCadenceIsZero) {
 }
 
 // --- 4a. Parity: legacy configs through the pluggable interface -------
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-std::uint64_t mix_double(std::uint64_t h, double x) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  return mix(h, bits);
-}
-
-/// The exact fingerprint the golden constants below were captured with
-/// (pre-refactor tree, same field order).
-std::uint64_t session_fingerprint(const core::BroadcastSession& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& v : s.viewer_results()) {
-    h = mix(h, v.hls ? 1 : 0);
-    h = mix(h, v.orphaned ? 1 : 0);
-    h = mix(h, v.attachment.value);
-    h = mix_double(h, v.stall_ratio);
-    h = mix_double(h, v.mean_buffering_s);
-    h = mix(h, v.units_played);
-    h = mix(h, v.units_discarded);
-  }
-  h = mix(h, s.rtmp_failovers());
-  h = mix(h, s.edge_failovers());
-  h = mix(h, s.orphaned_viewers());
-  h = mix(h, s.edge_spills());
-  h = mix(h, s.corrupted_downloads());
-  h = mix_double(h, s.hls_breakdown().buffering_s.mean());
-  h = mix_double(h, s.rtmp_breakdown().buffering_s.mean());
-  h = mix_double(h, s.failover_latency_s().mean());
-  h = mix_double(h, s.edge_failover_latency_s().mean());
-  return h;
-}
-
-std::uint64_t run_session(const core::SessionConfig& cfg) {
-  sim::Simulator sim;
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  core::BroadcastSession session(sim, catalog, cfg);
-  session.start();
-  sim.run();
-  session.finalize();
-  return session_fingerprint(session);
-}
 
 TEST(BackendParity, RtmpOnlyMatchesPreRefactorGolden) {
   const struct {
@@ -448,13 +401,13 @@ std::uint64_t three_tier_fingerprint(const core::SessionConfig& cfg) {
   session.start();
   sim.run();
   session.finalize();
-  std::uint64_t h = session_fingerprint(session);
+  Fingerprint h = session_fingerprint(session);
   // Fold the new-tier outcomes on top of the legacy fields.
   for (const auto& v : session.viewer_results())
-    h = mix(h, static_cast<std::uint64_t>(v.tier));
-  h = mix_double(h, session.llhls_breakdown().buffering_s.mean());
-  h = mix_double(h, session.llhls_breakdown().polling_s.mean());
-  return h;
+    h.mix(static_cast<std::uint64_t>(v.tier));
+  h.mix_double(session.llhls_breakdown().buffering_s.mean());
+  h.mix_double(session.llhls_breakdown().polling_s.mean());
+  return h.value();
 }
 
 TEST(LlHlsSession, MixedThreeTierRunIsDeterministic) {

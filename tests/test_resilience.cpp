@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 #include <vector>
 
@@ -22,41 +21,30 @@
 #include "livesim/core/service.h"
 #include "livesim/fault/scenario.h"
 #include "livesim/sim/parallel.h"
+#include "livesim/util/fingerprint.h"
 #include "livesim/workload/crowd.h"
 
 namespace {
 using namespace livesim;
 
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-std::uint64_t mix_double(std::uint64_t h, double x) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  return mix(h, bits);
-}
-
 std::uint64_t fingerprint(const stats::Sampler& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (double x : s.samples()) h = mix_double(h, x);
-  return h;
+  Fingerprint h;
+  for (double x : s.samples()) h.mix_double(x);
+  return h.value();
 }
 
 std::uint64_t fingerprint(const analysis::ResilienceStats& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = mix(h, fingerprint(r.stall_ratio));
-  h = mix(h, fingerprint(r.rebuffer_count));
-  h = mix(h, fingerprint(r.failover_latency_s));
-  h = mix(h, r.counters.viewers);
-  h = mix(h, r.counters.faults_injected);
-  h = mix(h, r.counters.ingest_crashes);
-  h = mix(h, r.counters.failovers);
-  h = mix(h, r.counters.unrecoverable);
-  h = mix(h, r.counters.chunk_refetches);
-  return h;
+  Fingerprint h;
+  h.mix(fingerprint(r.stall_ratio));
+  h.mix(fingerprint(r.rebuffer_count));
+  h.mix(fingerprint(r.failover_latency_s));
+  h.mix(r.counters.viewers);
+  h.mix(r.counters.faults_injected);
+  h.mix(r.counters.ingest_crashes);
+  h.mix(r.counters.failovers);
+  h.mix(r.counters.unrecoverable);
+  h.mix(r.counters.chunk_refetches);
+  return h.value();
 }
 
 std::vector<analysis::BroadcastTrace> small_trace_set(unsigned threads) {
@@ -178,16 +166,16 @@ TEST(ResilienceDeterminism, FaultySessionIsReproducible) {
     session.start();
     sim.run();
     session.finalize();
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    Fingerprint h;
     for (const auto& v : session.viewer_results()) {
-      h = mix(h, v.hls ? 1 : 0);
-      h = mix_double(h, v.stall_ratio);
-      h = mix_double(h, v.mean_buffering_s);
-      h = mix(h, v.units_played);
+      h.mix(v.hls ? 1 : 0);
+      h.mix_double(v.stall_ratio);
+      h.mix_double(v.mean_buffering_s);
+      h.mix(v.units_played);
     }
-    h = mix(h, session.rtmp_failovers());
-    h = mix_double(h, session.failover_latency_s().mean());
-    return h;
+    h.mix(session.rtmp_failovers());
+    h.mix_double(session.failover_latency_s().mean());
+    return h.value();
   };
   EXPECT_EQ(run(), run());
 }
@@ -264,15 +252,15 @@ TEST(Failover, MigratedViewersKeepPlayingAfterTheCrash) {
 // --- 4. Correlated fault scenarios -----------------------------------
 
 std::uint64_t fingerprint(const fault::FaultSchedule& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  Fingerprint h;
   for (const auto& e : s.events()) {
-    h = mix(h, static_cast<std::uint64_t>(e.at));
-    h = mix(h, static_cast<std::uint64_t>(e.kind));
-    h = mix(h, static_cast<std::uint64_t>(e.duration));
-    h = mix(h, e.target);
-    h = mix_double(h, e.magnitude);
+    h.mix(static_cast<std::uint64_t>(e.at));
+    h.mix(static_cast<std::uint64_t>(e.kind));
+    h.mix(static_cast<std::uint64_t>(e.duration));
+    h.mix(e.target);
+    h.mix_double(e.magnitude);
   }
-  return h;
+  return h.value();
 }
 
 TEST(ScenarioExpansion, EmptyScenarioExpandsToEmptySchedule) {
@@ -489,15 +477,15 @@ TEST(Failover, RejoinDefaultsOffSoMigratedViewersStayOnHls) {
 // --- 7. Regional experiment & service-level injection ----------------
 
 std::uint64_t fingerprint(const analysis::RegionalOutageStats& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = mix(h, fingerprint(r.stall_ratio));
-  h = mix(h, fingerprint(r.failover_latency_s));
-  h = mix(h, r.counters.viewers);
-  h = mix(h, r.counters.affected);
-  h = mix(h, r.counters.failovers);
-  h = mix(h, r.counters.orphaned);
-  h = mix(h, static_cast<std::uint64_t>(r.dark_edges));
-  return h;
+  Fingerprint h;
+  h.mix(fingerprint(r.stall_ratio));
+  h.mix(fingerprint(r.failover_latency_s));
+  h.mix(r.counters.viewers);
+  h.mix(r.counters.affected);
+  h.mix(r.counters.failovers);
+  h.mix(r.counters.orphaned);
+  h.mix(static_cast<std::uint64_t>(r.dark_edges));
+  return h.value();
 }
 
 TEST(RegionalDeterminism, ByteIdenticalAtThreads128) {
@@ -554,18 +542,18 @@ TEST(NoFaultParity, EmptyScenarioInjectionIsBitIdenticalToCleanSession) {
     }
     sim.run();
     session.finalize();
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    Fingerprint h;
     for (const auto& v : session.viewer_results()) {
-      h = mix(h, v.hls ? 1 : 0);
-      h = mix_double(h, v.stall_ratio);
-      h = mix_double(h, v.mean_buffering_s);
-      h = mix(h, v.units_played);
-      h = mix(h, v.units_discarded);
+      h.mix(v.hls ? 1 : 0);
+      h.mix_double(v.stall_ratio);
+      h.mix_double(v.mean_buffering_s);
+      h.mix(v.units_played);
+      h.mix(v.units_discarded);
     }
-    h = mix(h, session.faults_injected());
-    h = mix_double(h, session.hls_breakdown().buffering_s.mean());
-    h = mix_double(h, session.rtmp_breakdown().buffering_s.mean());
-    return h;
+    h.mix(session.faults_injected());
+    h.mix_double(session.hls_breakdown().buffering_s.mean());
+    h.mix_double(session.rtmp_breakdown().buffering_s.mean());
+    return h.value();
   };
   EXPECT_EQ(run(false), run(true));
 }
@@ -616,34 +604,35 @@ TEST(ScenarioInjection, ServiceSharesOneOutageAcrossLiveBroadcasts) {
 // --- 8. Per-edge capacity & the spill policy --------------------------
 
 // The projection the parity contract compares: exactly the fields both
-// experiment types share, mixed identically on both sides.
-std::uint64_t fingerprint_common(const stats::Sampler& stall,
-                                 const stats::Sampler& latency,
-                                 const analysis::RegionalOutageCounters& c,
-                                 std::size_t dark_edges) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = mix(h, fingerprint(stall));
-  h = mix(h, fingerprint(latency));
-  h = mix(h, c.viewers);
-  h = mix(h, c.affected);
-  h = mix(h, c.failovers);
-  h = mix(h, c.orphaned);
-  h = mix(h, static_cast<std::uint64_t>(dark_edges));
+// experiment types share, mixed identically on both sides. Returned as an
+// open chain: the spill fingerprint below keeps mixing into it.
+Fingerprint fingerprint_common(const stats::Sampler& stall,
+                               const stats::Sampler& latency,
+                               const analysis::RegionalOutageCounters& c,
+                               std::size_t dark_edges) {
+  Fingerprint h;
+  h.mix(fingerprint(stall));
+  h.mix(fingerprint(latency));
+  h.mix(c.viewers);
+  h.mix(c.affected);
+  h.mix(c.failovers);
+  h.mix(c.orphaned);
+  h.mix(static_cast<std::uint64_t>(dark_edges));
   return h;
 }
 
 std::uint64_t fingerprint(const analysis::CapacitySpillStats& r) {
-  std::uint64_t h = fingerprint_common(r.stall_ratio, r.failover_latency_s,
-                                       r.counters, r.dark_edges);
-  h = mix(h, r.edge_spills);
-  h = mix(h, r.capacity_orphans);
-  h = mix(h, r.spill_overshoot_km.count());
-  h = mix_double(h, r.spill_overshoot_km.sum());
+  Fingerprint h = fingerprint_common(r.stall_ratio, r.failover_latency_s,
+                                     r.counters, r.dark_edges);
+  h.mix(r.edge_spills);
+  h.mix(r.capacity_orphans);
+  h.mix(r.spill_overshoot_km.count());
+  h.mix_double(r.spill_overshoot_km.sum());
   for (const auto& [site, peak] : r.edge_peak_loads) {
-    h = mix(h, site);
-    h = mix(h, peak);
+    h.mix(site);
+    h.mix(peak);
   }
-  return h;
+  return h.value();
 }
 
 // The PR 3 parity contract: edge_capacity == 0 must reproduce the
@@ -661,9 +650,11 @@ TEST(CapacitySpill, InfiniteCapacityReproducesRegionalExperimentBitForBit) {
     const auto cap =
         analysis::capacity_spill_experiment(traces, catalog, ccfg);
     EXPECT_EQ(fingerprint_common(reg.stall_ratio, reg.failover_latency_s,
-                                 reg.counters, reg.dark_edges),
+                                 reg.counters, reg.dark_edges)
+                  .value(),
               fingerprint_common(cap.stall_ratio, cap.failover_latency_s,
-                                 cap.counters, cap.dark_edges))
+                                 cap.counters, cap.dark_edges)
+                  .value())
         << "parity broke at radius " << radius;
     EXPECT_EQ(cap.edge_spills, 0u);
     EXPECT_EQ(cap.capacity_orphans, 0u);

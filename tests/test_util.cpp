@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <unordered_set>
 
 #include "livesim/stats/csv.h"
+#include "livesim/util/fingerprint.h"
 #include "livesim/util/ids.h"
 #include "livesim/util/time.h"
 
@@ -56,6 +59,33 @@ TEST(Ids, Hashable) {
   set.insert(DatacenterId{2});
   set.insert(DatacenterId{1});
   EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(Fingerprint, EmptyMixerIsTheBasis) {
+  EXPECT_EQ(Fingerprint{}.value(), 0xcbf29ce484222325ULL);
+}
+
+TEST(Fingerprint, FixedSequenceMatchesHandComputedFnv1a) {
+  // Word-at-a-time FNV-1a over {1, bits(2.5) = 0x4004000000000000,
+  // 0xdeadbeef, bits(-0.0) = 0x8000000000000000}, computed offline.
+  Fingerprint fp;
+  fp.mix(1).mix_double(2.5).mix(0xdeadbeefULL).mix_double(-0.0);
+  EXPECT_EQ(fp.value(), 0xc1f1fcf5c4e729e3ULL);
+  // Position-sensitive: the same words in another order hash elsewhere.
+  Fingerprint swapped;
+  swapped.mix_double(2.5).mix(1).mix(0xdeadbeefULL).mix_double(-0.0);
+  EXPECT_NE(swapped.value(), fp.value());
+}
+
+TEST(Fingerprint, MixDoubleIsMixOfTheBitPattern) {
+  for (double x : {0.0, -0.0, 1.0, -2.75, 1e-300, 6.02e23}) {
+    Fingerprint a, b;
+    a.mix(7).mix_double(x);
+    b.mix(7).mix(std::bit_cast<std::uint64_t>(x));
+    EXPECT_EQ(a.value(), b.value()) << x;
+  }
+  Fingerprint pos, neg;
+  EXPECT_NE(pos.mix_double(0.0).value(), neg.mix_double(-0.0).value());
 }
 
 TEST(Csv, RendersHeaderAndRows) {
