@@ -83,7 +83,12 @@ void EdgeServer::on_expire_notice(std::uint64_t latest_seq) {
 
 void EdgeServer::respond(std::int64_t client_last_seq,
                          const PollCallback& cb) {
-  std::vector<media::Chunk> fresh;
+  // Borrow the reused buffer for the call. A callback that re-enters
+  // respond() (polls this edge again synchronously) finds fresh_ empty
+  // and fills a buffer of its own, so the view `cb` holds is never
+  // rewritten under it.
+  std::vector<media::Chunk> fresh = std::move(fresh_);
+  fresh.clear();
   egress_bytes_ += 1200;  // the playlist response itself
   for (const auto& c : cache_) {
     if (static_cast<std::int64_t>(c.seq) > client_last_seq) {
@@ -92,7 +97,19 @@ void EdgeServer::respond(std::int64_t client_last_seq,
       fresh.push_back(c);
     }
   }
-  cb(sim_.now(), std::move(fresh));
+  cb(sim_.now(), fresh);
+  fresh_ = std::move(fresh);
+}
+
+void EdgeServer::release_waiters() {
+  // Swap the batch out before answering: a callback may poll this edge
+  // again and park a new waiter. The drained batch's storage is kept for
+  // the next park, so steady-state coalescing allocates nothing.
+  std::vector<Waiter> batch = std::move(spare_waiters_);
+  batch.swap(waiters_);
+  for (auto& w : batch) respond(w.last_seq, w.cb);
+  batch.clear();
+  spare_waiters_ = std::move(batch);
 }
 
 void EdgeServer::on_poll(std::int64_t client_last_seq, PollCallback cb) {
@@ -210,9 +227,7 @@ void EdgeServer::start_fetch(std::uint32_t attempt) {
       } else {
         // Give up: serve waiters whatever is cached (possibly stale).
         fetching_ = false;
-        auto waiters = std::move(waiters_);
-        waiters_.clear();
-        for (auto& w : waiters) respond(w.last_seq, w.cb);
+        release_waiters();
       }
       return;
     }
@@ -222,22 +237,20 @@ void EdgeServer::start_fetch(std::uint32_t attempt) {
     for (auto& c : fresh) {
       if (static_cast<std::int64_t>(c.seq) > cached_seq_) {
         cache_.push_back(c);
-        chunk_available_.emplace(c.seq, now);
+        if (c.seq >= chunk_available_.size())
+          chunk_available_.resize(c.seq + 1, -1);
+        if (chunk_available_[c.seq] < 0) chunk_available_[c.seq] = now;
         cached_seq_ = static_cast<std::int64_t>(c.seq);
       }
     }
     // Keep the cache a sliding window: edges don't hold the whole stream.
-    constexpr std::size_t kWindow = 8;
-    if (cache_.size() > kWindow)
+    if (cache_.size() > kCacheWindow)
       cache_.erase(cache_.begin(),
                    cache_.begin() + static_cast<std::ptrdiff_t>(
-                                        cache_.size() - kWindow));
+                                        cache_.size() - kCacheWindow));
     if (cached_seq_ > known_latest_seq_) known_latest_seq_ = cached_seq_;
     fetching_ = false;
-
-    auto waiters = std::move(waiters_);
-    waiters_.clear();
-    for (auto& w : waiters) respond(w.last_seq, w.cb);
+    release_waiters();
 
     // New chunks may have been announced while the fetch was in flight.
     if (!waiters_.empty() && cached_seq_ < known_latest_seq_) start_fetch();

@@ -14,10 +14,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
-
-#include <memory>
 
 #include "livesim/cdn/resource_model.h"
 #include "livesim/media/chunker.h"
@@ -134,12 +134,22 @@ class EdgeServer {
   using OriginFetchFn = std::function<void(std::function<void(FetchResult)>)>;
 
   /// (serve time at edge, chunks newer than the client's last sequence).
-  using PollCallback = std::function<void(TimeUs, std::vector<media::Chunk>)>;
+  /// The chunk vector is a view of an edge-owned buffer, valid only for
+  /// the duration of the call: a callback that keeps chunks copies them.
+  /// Lambdas taking the vector by value still bind (they copy). The
+  /// 48-byte budget holds every poller capture in livesim, so a poll
+  /// never boxes its callback.
+  using PollCallback =
+      sim::InplaceFunction<void(TimeUs, const std::vector<media::Chunk>&), 48>;
 
   /// (serve time at edge, parts newer than the client's last part). An
   /// empty vector means the hold cap expired with nothing new -- the
   /// client should immediately re-request (preload-hint semantics).
   using PartPollCallback = std::function<void(TimeUs, std::vector<media::Part>)>;
+
+  /// The cache is a sliding window of this many chunks, so no poll is
+  /// ever answered with more.
+  static constexpr std::size_t kCacheWindow = 8;
 
   EdgeServer(sim::Simulator& sim, DatacenterId site, OriginFetchFn fetch,
              const ResourceModel& resources)
@@ -153,10 +163,13 @@ class EdgeServer {
   /// chunk sequence the client already has (-1 for none).
   void on_poll(std::int64_t client_last_seq, PollCallback cb);
 
-  /// When each chunk became servable at this edge (Fig 15's timestamp 11).
-  const std::unordered_map<std::uint64_t, TimeUs>& availability()
-      const noexcept {
-    return chunk_available_;
+  /// When chunk `seq` first became servable at this edge (Fig 15's
+  /// timestamp 11); nullopt for a chunk this edge never cached. The first
+  /// time wins: it survives flush_cache() and set_down().
+  std::optional<TimeUs> available_at(std::uint64_t seq) const noexcept {
+    if (seq >= chunk_available_.size() || chunk_available_[seq] < 0)
+      return std::nullopt;
+    return chunk_available_[seq];
   }
 
   // --- LL-HLS partial segments + blocking playlist reload ---
@@ -312,6 +325,8 @@ class EdgeServer {
   };
 
   void respond(std::int64_t client_last_seq, const PollCallback& cb);
+  /// Answers every parked waiter, in park order.
+  void release_waiters();
   void respond_parts(std::int64_t client_last_part,
                      const PartPollCallback& cb);
   void start_fetch(std::uint32_t attempt = 1);
@@ -322,12 +337,18 @@ class EdgeServer {
   CpuMeter cpu_;
 
   std::vector<media::Chunk> cache_;  // ordered by seq
-  std::unordered_map<std::uint64_t, TimeUs> chunk_available_;
+  // First-availability time by chunk seq (-1: never cached). Dense
+  // because media sequence numbers count up from 0.
+  std::vector<TimeUs> chunk_available_;
+  // respond()'s reused buffer for the fresh suffix of cache_.
+  std::vector<media::Chunk> fresh_;
   std::int64_t cached_seq_ = -1;
   std::int64_t known_latest_seq_ = -1;
   bool fetching_ = false;
   bool down_ = false;
   std::vector<Waiter> waiters_;
+  // Recycled storage for the waiter batch release_waiters() drains.
+  std::vector<Waiter> spare_waiters_;
   std::uint64_t polls_ = 0;
   std::uint64_t polls_dropped_ = 0;
   std::uint64_t fetches_ = 0;

@@ -46,9 +46,13 @@ BroadcastSession::BroadcastSession(sim::Simulator& sim,
 
 BroadcastSession::~BroadcastSession() = default;
 
+cdn::EdgeServer* BroadcastSession::find_edge(
+    std::uint64_t site) const noexcept {
+  return site < edge_by_site_.size() ? edge_by_site_[site] : nullptr;
+}
+
 cdn::EdgeServer& BroadcastSession::edge_for(DatacenterId site) {
-  auto it = edges_.find(site.value);
-  if (it != edges_.end()) return *it->second;
+  if (cdn::EdgeServer* edge = find_edge(site.value)) return *edge;
 
   cdn::W2FModel w2f(catalog_, config_.latency, config_.w2f);
   auto fetch = [this, site, w2f](
@@ -77,6 +81,9 @@ cdn::EdgeServer& BroadcastSession::edge_for(DatacenterId site) {
   edge->set_capacity(config_.edge_capacity);
   auto* ptr = edge.get();
   edges_.emplace(site.value, std::move(edge));
+  if (site.value >= edge_by_site_.size())
+    edge_by_site_.resize(site.value + 1, nullptr);
+  edge_by_site_[site.value] = ptr;
 
   if (config_.crawler_pollers) {
     // The paper's measurement crawler: poll every 0.1 s with its own
@@ -90,7 +97,8 @@ cdn::EdgeServer& BroadcastSession::edge_for(DatacenterId site) {
             proc.stop();
             return;
           }
-          ptr->on_poll(*cursor, [cursor](TimeUs, std::vector<media::Chunk> cs) {
+          ptr->on_poll(*cursor, [cursor](TimeUs,
+                                         const std::vector<media::Chunk>& cs) {
             for (const auto& c : cs)
               if (static_cast<std::int64_t>(c.seq) > *cursor)
                 *cursor = static_cast<std::int64_t>(c.seq);
@@ -204,7 +212,7 @@ std::vector<control::EdgeSample> BroadcastSession::scrape_edges() const {
   std::vector<control::EdgeSample> out;
   out.reserve(sites.size());
   for (std::uint64_t site : sites) {
-    const cdn::EdgeServer& edge = *edges_.at(site);
+    const cdn::EdgeServer& edge = *find_edge(site);
     control::EdgeSample s;
     s.site = site;
     s.attached = edge.attached();
@@ -360,14 +368,12 @@ void BroadcastSession::on_edge_down(const fault::FaultEvent& e) {
   for (std::uint64_t site : dark) {
     auto& horizon = edge_down_until_[site];
     if (until > horizon) horizon = until;
-    if (auto it = edges_.find(site); it != edges_.end())
-      it->second->set_down(true);
+    if (cdn::EdgeServer* edge = find_edge(site)) edge->set_down(true);
     if (e.duration > 0) {
       sim_.schedule_in(e.duration, [this, site] {
         // Revive unless a later event extended this site's outage.
         if (edge_site_down(site, sim_.now())) return;
-        if (auto it = edges_.find(site); it != edges_.end())
-          it->second->set_down(false);
+        if (cdn::EdgeServer* edge = find_edge(site)) edge->set_down(false);
       });
     }
   }
@@ -566,8 +572,8 @@ BroadcastSession::EdgeSelection BroadcastSession::nearest_live_edge(
     if (respect_capacity) {
       // Only instantiated edges carry load; an untouched catalog site
       // has zero attachments and can never be full.
-      auto it = edges_.find(dc->id.value);
-      if (it != edges_.end() && it->second->full()) {
+      const cdn::EdgeServer* edge = find_edge(dc->id.value);
+      if (edge != nullptr && edge->full()) {
         skipped_full = true;  // spill outward, ring by ring
         continue;
       }
@@ -597,8 +603,7 @@ void BroadcastSession::admit_to_edge(Viewer& v, const EdgeSelection& sel) {
 void BroadcastSession::detach_from_edge(Viewer& v) {
   // Only HLS viewers hold an edge attachment; the ledger lives on the
   // instantiated EdgeServer (attachment always instantiated one).
-  if (auto it = edges_.find(v.attachment.value); it != edges_.end())
-    it->second->detach();
+  if (cdn::EdgeServer* edge = find_edge(v.attachment.value)) edge->detach();
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
@@ -729,14 +734,12 @@ void BroadcastSession::remove_viewer(std::size_t index) {
 void BroadcastSession::record_hls_chunk(Viewer& v, const media::Chunk& c,
                                         TimeUs poll_at_edge, TimeUs recv_time,
                                         DurationUs download_delay) {
-  auto& edge = edge_for(v.attachment);
-  std::optional<TimeUs> available;
-  if (auto it = edge.availability().find(c.seq);
-      it != edge.availability().end()) {
-    available = it->second;
-    hls_.w2f_s.add(time::to_seconds(it->second - c.completed_ts));
+  const std::optional<TimeUs> available =
+      edge_for(v.attachment).available_at(c.seq);
+  if (available) {
+    hls_.w2f_s.add(time::to_seconds(*available - c.completed_ts));
     const DurationUs polling =
-        poll_at_edge > it->second ? poll_at_edge - it->second : 0;
+        poll_at_edge > *available ? poll_at_edge - *available : 0;
     hls_.polling_s.add(time::to_seconds(polling));
   }
   hls_.last_mile_s.add(time::to_seconds(download_delay));
@@ -1022,40 +1025,77 @@ bool BroadcastSession::poll_tick(Viewer& v, TimeUs tick_time) {
   sim_.schedule_in(req_d, [this, viewer, eptr, gen] {
     if (viewer->generation != gen) return;
     const TimeUs poll_at_edge = sim_.now();
-    eptr->on_poll(
-        viewer->last_seq,
-        [this, viewer, gen, poll_at_edge](
-            TimeUs served_at, std::vector<media::Chunk> fresh) {
-          if (viewer->generation != gen) return;
-          std::uint64_t bytes = kPlaylistBytes;
-          for (const auto& c : fresh) bytes += c.size_bytes;
-          const DurationUs resp_d = viewer->link->sample_delay(bytes);
-          sim_.schedule_in(
-              resp_d, [this, viewer, gen, poll_at_edge, served_at,
-                       resp_d, fresh = std::move(fresh)] {
-                if (viewer->generation != gen) return;
-                const TimeUs recv = served_at + resp_d;
-                // Injected corruption window: the download fails its
-                // integrity check and is discarded whole; the next
-                // poll tick re-fetches (chunk re-fetch on corruption).
-                if (recv < corruption_until_ && !fresh.empty() &&
-                    viewer_rng(*viewer).bernoulli(corruption_prob_)) {
-                  ++corrupted_downloads_;
-                  set_poll_outstanding(*viewer, false);
-                  return;
-                }
-                for (const auto& c : fresh) {
-                  if (static_cast<std::int64_t>(c.seq) <= viewer->last_seq)
-                    continue;
-                  viewer->last_seq = static_cast<std::int64_t>(c.seq);
-                  record_hls_chunk(*viewer, c, poll_at_edge, recv, resp_d);
-                }
-                set_poll_outstanding(*viewer, false);
-                if (config_.hls_poll_retry) poll_succeeded(*viewer);
-              });
-        });
+    auto on_response = [this, viewer, gen, poll_at_edge](
+                           TimeUs, const std::vector<media::Chunk>& fresh) {
+      if (viewer->generation != gen) return;
+      std::uint64_t bytes = kPlaylistBytes;
+      for (const auto& c : fresh) bytes += c.size_bytes;
+      const DurationUs resp_d = viewer->link->sample_delay(bytes);
+      // `fresh` is the edge's view, valid only during this call: the leg
+      // carries a copy in a buffer from the free list and hands it back
+      // whether or not the response is delivered.
+      auto response_leg = [this, viewer, gen, poll_at_edge, resp_d,
+                           chunks = take_chunk_buffer(fresh)]() mutable {
+        if (viewer->generation == gen)
+          deliver_hls_response(*viewer, chunks, poll_at_edge, resp_d);
+        recycle_chunk_buffer(std::move(chunks));
+      };
+      static_assert(sim::EventFn::fits_inline<decltype(response_leg)>(),
+                    "the poll response leg must not box");
+      sim_.schedule_in(resp_d, std::move(response_leg));
+    };
+    static_assert(
+        cdn::EdgeServer::PollCallback::fits_inline<decltype(on_response)>(),
+        "the poll callback must not box");
+    eptr->on_poll(viewer->last_seq, std::move(on_response));
   });
   return true;
+}
+
+void BroadcastSession::deliver_hls_response(
+    Viewer& v, const std::vector<media::Chunk>& chunks, TimeUs poll_at_edge,
+    DurationUs resp_d) {
+  // The edge answered at serve time and sample_delay() is >= 1, so the
+  // response leg fires at exactly serve time + resp_d: now().
+  const TimeUs recv = sim_.now();
+  // Injected corruption window: the download fails its integrity check
+  // and is discarded whole; the next poll tick re-fetches (chunk re-fetch
+  // on corruption).
+  if (recv < corruption_until_ && !chunks.empty() &&
+      viewer_rng(v).bernoulli(corruption_prob_)) {
+    ++corrupted_downloads_;
+    set_poll_outstanding(v, false);
+    return;
+  }
+  for (const auto& c : chunks) {
+    if (static_cast<std::int64_t>(c.seq) <= v.last_seq) continue;
+    v.last_seq = static_cast<std::int64_t>(c.seq);
+    record_hls_chunk(v, c, poll_at_edge, recv, resp_d);
+  }
+  set_poll_outstanding(v, false);
+  if (config_.hls_poll_retry) poll_succeeded(v);
+}
+
+std::vector<media::Chunk> BroadcastSession::take_chunk_buffer(
+    const std::vector<media::Chunk>& fresh) {
+  std::vector<media::Chunk> buf;
+  if (fresh.empty()) return buf;  // an empty response needs no storage
+  if (chunk_buffers_.empty()) {
+    // Sized for the largest possible response, so a recycled buffer
+    // never grows again.
+    buf.reserve(cdn::EdgeServer::kCacheWindow);
+  } else {
+    buf = std::move(chunk_buffers_.back());
+    chunk_buffers_.pop_back();
+  }
+  buf.assign(fresh.begin(), fresh.end());
+  return buf;
+}
+
+void BroadcastSession::recycle_chunk_buffer(std::vector<media::Chunk>&& buf) {
+  if (buf.capacity() == 0) return;
+  buf.clear();
+  chunk_buffers_.push_back(std::move(buf));
 }
 
 void BroadcastSession::arm_poll_timeout(Viewer& v, std::uint64_t gen) {

@@ -435,6 +435,8 @@ class BroadcastSession {
   };
 
   cdn::EdgeServer& edge_for(DatacenterId site);
+  /// The edge this session instantiated at `site`, or nullptr.
+  cdn::EdgeServer* find_edge(std::uint64_t site) const noexcept;
   sim::PollWheel& wheel_for(cdn::EdgeServer& edge);
   void attach_rtmp_viewer(Viewer& v);
   void start_hls_polling(Viewer& v);
@@ -484,6 +486,16 @@ class BroadcastSession {
   void poll_succeeded(Viewer& v);
   void record_hls_chunk(Viewer& v, const media::Chunk& c, TimeUs poll_at_edge,
                         TimeUs recv_time, DurationUs download_delay);
+  /// The response leg of a poll landing on the viewer: the corruption
+  /// check, then every chunk newer than last_seq recorded and played.
+  void deliver_hls_response(Viewer& v, const std::vector<media::Chunk>& chunks,
+                            TimeUs poll_at_edge, DurationUs resp_d);
+  /// A copy of `fresh` in a buffer from the chunk free list (no storage
+  /// at all for an empty response).
+  std::vector<media::Chunk> take_chunk_buffer(
+      const std::vector<media::Chunk>& fresh);
+  /// Returns a response leg's buffer to the free list.
+  void recycle_chunk_buffer(std::vector<media::Chunk>&& buf);
   void arm_faults();
   void register_fault_handlers(fault::FaultInjector& injector);
   void on_ingest_crash(const fault::FaultEvent& e);
@@ -537,7 +549,11 @@ class BroadcastSession {
   std::unique_ptr<media::FrameSource> source_;
   std::unique_ptr<sim::PeriodicProcess> frame_process_;
 
+  // Owns the edges. Its iteration order sets the RNG draw order of the
+  // expiry-notice fan-out, so it stays the owner; lookups go through
+  // edge_by_site_, the same edges indexed by site id (null: none yet).
   std::unordered_map<std::uint64_t, std::unique_ptr<cdn::EdgeServer>> edges_;
+  std::vector<cdn::EdgeServer*> edge_by_site_;
   std::vector<std::unique_ptr<sim::PeriodicProcess>> crawler_processes_;
   std::vector<std::unique_ptr<Viewer>> viewers_;
   Viewer* first_hls_viewer_ = nullptr;  // journey-ledger subject
@@ -583,6 +599,8 @@ class BroadcastSession {
   std::unordered_map<std::uint64_t, TimeUs> keyframe_arrival_;  // frame seq
   std::unordered_map<std::uint64_t, TimeUs> chunk_completed_;   // chunk seq
   std::vector<ChunkJourney> journeys_;
+  // Free list of chunk buffers carried by in-flight poll response legs.
+  std::vector<std::vector<media::Chunk>> chunk_buffers_;
 };
 
 }  // namespace livesim::core

@@ -5,6 +5,18 @@
 
 namespace livesim::net {
 
+namespace {
+// The event FifoUplink::send schedules: the arrival time plus the
+// caller's callback.
+struct Delivery {
+  TimeUs at;
+  FifoUplink::ArrivalFn fn;
+  void operator()() { fn(at); }
+};
+static_assert(sim::EventFn::fits_inline<Delivery>(),
+              "an uplink delivery must not box");
+}  // namespace
+
 DurationUs Link::sample_delay(std::size_t bytes) {
   const double serialization_s =
       params_.bandwidth_bps > 0
@@ -94,7 +106,7 @@ TimeUs FifoUplink::send(std::size_t bytes, ArrivalFn on_arrival) {
   // TCP delivers in order: a delayed byte delays everything behind it.
   if (arrive < last_arrival_) arrive = last_arrival_;
   last_arrival_ = arrive;
-  sim_.schedule_at(arrive, [arrive, fn = std::move(on_arrival)] { fn(arrive); });
+  sim_.schedule_at(arrive, Delivery{arrive, std::move(on_arrival)});
   return arrive;
 }
 

@@ -50,10 +50,12 @@ class Link {
 
 class FifoUplink {
  public:
-  /// Arrival callback. Sized so that the uplink's own [arrival-time +
-  /// callback] capture still fits the engine's 64-byte inline budget:
-  /// 48-byte buffer + vtable pointer + 8-byte timestamp == 64.
-  using ArrivalFn = sim::InplaceFunction<void(TimeUs), 48>;
+  /// Arrival callback. Sized so that the uplink's own [arrival time +
+  /// callback] event fits the engine's 64-byte inline budget: the
+  /// 40-byte buffer plus the vtable pointer is 48 bytes (16-byte
+  /// aligned), and the 8-byte timestamp pads to 16 in front of it, so
+  /// the event is exactly 64 (static_assert in link.cpp).
+  using ArrivalFn = sim::InplaceFunction<void(TimeUs), 40>;
 
   struct Params {
     Link::Params link{};                      // per-message delay model

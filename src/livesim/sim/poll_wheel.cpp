@@ -1,5 +1,7 @@
 #include "livesim/sim/poll_wheel.h"
 
+#include <bit>
+
 namespace livesim::sim {
 
 PollWheel::PollWheel(Simulator& sim, DurationUs period, std::uint32_t buckets)
@@ -11,6 +13,7 @@ PollWheel::PollWheel(Simulator& sim, DurationUs period, std::uint32_t buckets)
   bucket_head_.assign(buckets, kNil);
   bucket_tail_.assign(buckets, kNil);
   bucket_due_.assign(buckets, -1);
+  occupied_.assign((buckets + 63) / 64, 0);
 }
 
 PollWheel::~PollWheel() {
@@ -74,7 +77,7 @@ CohortSlot PollWheel::attach(TimeUs first_tick, std::uint64_t tag) {
   bucket_tail_[b] = idx;
 
   if (bucket_due_[b] < 0 || first_tick < bucket_due_[b])
-    bucket_due_[b] = first_tick;
+    set_due(b, first_tick);
   ++members_;
 
   if (pending_time_ < 0 || bucket_due_[b] < pending_time_) reschedule();
@@ -98,7 +101,7 @@ bool PollWheel::detach(CohortSlot s) {
   --members_;
 
   if (bucket_head_[b] == kNil) {
-    bucket_due_[b] = -1;
+    set_due(b, -1);
     reschedule();  // the emptied bucket may have been the pending target
   }
   return true;
@@ -118,15 +121,29 @@ std::uint64_t PollWheel::tag(CohortSlot s) const noexcept {
   return live(s) ? ledger_.tag[s.index] : 0;
 }
 
+void PollWheel::set_due(std::uint32_t b, TimeUs due) noexcept {
+  bucket_due_[b] = due;
+  const std::uint64_t bit = std::uint64_t{1} << (b % 64);
+  if (due < 0)
+    occupied_[b / 64] &= ~bit;
+  else
+    occupied_[b / 64] |= bit;
+}
+
 TimeUs PollWheel::earliest_due(std::uint32_t* bucket_out) const noexcept {
+  // Ascending bucket order with a strict `<`: among equal due times the
+  // lowest bucket wins, the tie-break the pinned fingerprints rely on.
   TimeUs best = -1;
   std::uint32_t best_b = kNil;
-  for (std::uint32_t b = 0; b < buckets(); ++b) {
-    const TimeUs due = bucket_due_[b];
-    if (due < 0) continue;
-    if (best < 0 || due < best) {
-      best = due;
-      best_b = b;
+  for (std::size_t w = 0; w < occupied_.size(); ++w) {
+    for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+      const auto b =
+          static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+      const TimeUs due = bucket_due_[b];
+      if (best < 0 || due < best) {
+        best = due;
+        best_b = b;
+      }
     }
   }
   if (bucket_out != nullptr) *bucket_out = best_b;
@@ -160,7 +177,7 @@ void PollWheel::fire() {
   // Advance the due time before fanning out so members attached by a
   // callback (quantized strictly after now) see the bucket's next
   // rotation, never this pass.
-  bucket_due_[b] = tick + period_;
+  set_due(b, tick + period_);
 
   fan_cursor_ = bucket_head_[b];
   while (fan_cursor_ != kNil) {
@@ -173,7 +190,7 @@ void PollWheel::fire() {
   }
   fan_cursor_ = kNil;
 
-  if (bucket_head_[b] == kNil) bucket_due_[b] = -1;
+  if (bucket_head_[b] == kNil) set_due(b, -1);
   reschedule();
 }
 

@@ -135,8 +135,10 @@ class PollWheel {
   void fire();                       // the single pending engine event
   void reschedule();                 // re-aim pending_ at the earliest due
   /// Earliest due time across non-empty buckets (-1: none); the owning
-  /// bucket lands in *bucket_out.
+  /// bucket lands in *bucket_out. Ties go to the lowest bucket index.
   TimeUs earliest_due(std::uint32_t* bucket_out) const noexcept;
+  /// Sets bucket_due_[b] and keeps the occupancy bit in step (-1 clears).
+  void set_due(std::uint32_t b, TimeUs due) noexcept;
 
   Simulator& sim_;
   DurationUs slot_width_;
@@ -147,6 +149,9 @@ class PollWheel {
   std::vector<std::uint32_t> bucket_head_;
   std::vector<std::uint32_t> bucket_tail_;
   std::vector<TimeUs> bucket_due_;   // next fire time; valid when non-empty
+  // Occupancy bitmap, one bit per bucket (64 per word): set exactly while
+  // bucket_due_ >= 0, so earliest_due() visits only non-empty buckets.
+  std::vector<std::uint64_t> occupied_;
 
   std::uint32_t free_head_ = kNil;
   std::size_t members_ = 0;

@@ -224,8 +224,76 @@ TEST_F(EdgeFixture, AvailabilityRecorded) {
   edge_->on_expire_notice(0);
   edge_->on_poll(-1, [](TimeUs, std::vector<media::Chunk>) {});
   sim_.run();
-  ASSERT_EQ(edge_->availability().count(0), 1u);
-  EXPECT_EQ(edge_->availability().at(0), fetch_delay_);
+  ASSERT_TRUE(edge_->available_at(0).has_value());
+  EXPECT_EQ(*edge_->available_at(0), fetch_delay_);
+}
+
+TEST_F(EdgeFixture, AvailableAtKeepsFirstTimeAcrossFlushAndDeath) {
+  add_origin_chunk(0);
+  add_origin_chunk(3);  // seqs 1 and 2 never exist
+  edge_->on_expire_notice(3);
+  edge_->on_poll(-1, [](TimeUs, const std::vector<media::Chunk>&) {});
+  sim_.run();
+  ASSERT_TRUE(edge_->available_at(0).has_value());
+  ASSERT_TRUE(edge_->available_at(3).has_value());
+  const TimeUs first = *edge_->available_at(0);
+  EXPECT_EQ(first, fetch_delay_);
+  EXPECT_EQ(*edge_->available_at(3), first);
+  EXPECT_FALSE(edge_->available_at(1).has_value());  // gap, never seen
+  EXPECT_FALSE(edge_->available_at(2).has_value());
+  EXPECT_FALSE(edge_->available_at(4).has_value());  // past the end
+  EXPECT_FALSE(edge_->available_at(1u << 30).has_value());
+
+  // A cache flush forces a re-pull that caches both chunks again, later:
+  // the first time stands, and the new chunk gets the re-pull's time.
+  edge_->flush_cache();
+  add_origin_chunk(4);
+  edge_->on_expire_notice(4);
+  edge_->on_poll(-1, [](TimeUs, const std::vector<media::Chunk>&) {});
+  sim_.run();
+  EXPECT_EQ(fetches_started_, 2);
+  EXPECT_EQ(*edge_->available_at(0), first);
+  EXPECT_EQ(*edge_->available_at(3), first);
+  ASSERT_TRUE(edge_->available_at(4).has_value());
+  const TimeUs fourth = *edge_->available_at(4);
+  EXPECT_GT(fourth, first);
+
+  // Death wipes the cache; after revival the re-pull leaves every first
+  // time as it was.
+  edge_->set_down(true);
+  EXPECT_EQ(*edge_->available_at(0), first);
+  edge_->set_down(false);
+  edge_->on_poll(-1, [](TimeUs, const std::vector<media::Chunk>&) {});
+  sim_.run();
+  EXPECT_EQ(fetches_started_, 3);
+  EXPECT_EQ(*edge_->available_at(0), first);
+  EXPECT_EQ(*edge_->available_at(3), first);
+  EXPECT_EQ(*edge_->available_at(4), fourth);
+  EXPECT_FALSE(edge_->available_at(1).has_value());
+  EXPECT_FALSE(edge_->available_at(5).has_value());
+}
+
+TEST_F(EdgeFixture, ReentrantPollLeavesTheOuterViewIntact) {
+  // The chunk vector a poll callback sees is the edge's buffer, valid for
+  // the call. A callback that polls the same edge again from inside must
+  // not see its own view rewritten by the nested response.
+  add_origin_chunk(0);
+  add_origin_chunk(1);
+  add_origin_chunk(2);
+  edge_->on_expire_notice(2);
+  edge_->on_poll(-1, [](TimeUs, const std::vector<media::Chunk>&) {});
+  sim_.run();
+
+  std::vector<std::uint64_t> outer_after;
+  std::vector<std::uint64_t> inner;
+  edge_->on_poll(1, [&](TimeUs, const std::vector<media::Chunk>& cs) {
+    edge_->on_poll(-1, [&](TimeUs, const std::vector<media::Chunk>& in) {
+      for (const auto& c : in) inner.push_back(c.seq);
+    });
+    for (const auto& c : cs) outer_after.push_back(c.seq);
+  });
+  EXPECT_EQ(inner, (std::vector<std::uint64_t>{0, 1, 2}));
+  EXPECT_EQ(outer_after, (std::vector<std::uint64_t>{2}));
 }
 
 TEST_F(EdgeFixture, StaleWithoutNoticeServesCachedData) {

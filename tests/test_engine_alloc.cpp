@@ -2,7 +2,9 @@
 // operator-new hook: once the arena and heap are warm, scheduling and
 // running events whose captures fit the EventFn inline budget must perform
 // ZERO heap allocations, and PeriodicProcess steady-state ticking must
-// re-arm in place without touching the allocator.
+// re-arm in place without touching the allocator. The same hook pins the
+// HLS poll round trip: a warm edge answers polls without allocating, and
+// a session's steady-state allocations do not grow with its HLS audience.
 //
 // This lives in its own test binary because replacing global operator new
 // is a whole-program decision; the main livesim_tests binary stays stock.
@@ -13,9 +15,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <vector>
 
+#include "livesim/cdn/resource_model.h"
+#include "livesim/cdn/servers.h"
+#include "livesim/core/broadcast_session.h"
+#include "livesim/geo/datacenters.h"
 #include "livesim/sim/simulator.h"
 
 namespace {
@@ -119,6 +126,85 @@ TEST(EngineAllocations, PeriodicSteadyStateTickingIsAllocationFree) {
       << "steady-state periodic ticking allocated";
   proc.stop();
   EXPECT_EQ(ticks_seen, 1006u);
+}
+
+TEST(EngineAllocations, WarmEdgePollIsAllocationFree) {
+  Simulator sim;
+  std::vector<media::Chunk> window(8);
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    window[i].seq = i;
+    window[i].size_bytes = 150000;
+  }
+  cdn::EdgeServer edge(
+      sim, DatacenterId{0},
+      [&window](std::function<void(cdn::EdgeServer::FetchResult)> done) {
+        done(window);
+      },
+      cdn::ResourceModel{});
+  edge.on_expire_notice(window.back().seq);
+  // The first poll pulls the window and answers with all of it, which
+  // sizes the edge's response buffer.
+  edge.on_poll(-1, [](TimeUs, const std::vector<media::Chunk>&) {});
+
+  std::uint64_t delivered = 0;
+  const std::uint64_t before = allocation_count();
+  for (int i = 0; i < 1000; ++i) {
+    // Half the pollers are one chunk behind, half are up to date.
+    edge.on_poll(6 + (i & 1),
+                 [&delivered](TimeUs, const std::vector<media::Chunk>& fresh) {
+                   delivered += fresh.size();
+                 });
+  }
+  EXPECT_EQ(allocation_count() - before, 0u) << "a warm-edge poll allocated";
+  EXPECT_EQ(delivered, 500u);
+  EXPECT_EQ(edge.polls_served(), 1001u);
+}
+
+// Allocations a one-edge session makes over a window of its steady state.
+// The audience is a synchronized cohort: every HLS viewer sits at the
+// broadcaster (one edge), the wheel has one bucket (everyone polls at the
+// same tick), and no delay carries jitter or outages. So the edge-side
+// timeline (expiry notices, origin fetches) is the same whatever the
+// audience size, and every new chunk finds all viewers waiting on one
+// fetch and answers them all at once. That drives the edge's waiter
+// batches and the session's chunk-buffer free list to their
+// one-entry-per-viewer bound, and the engine's slab and heap to their
+// peak, before the window opens. Any allocation that then differs between
+// audiences is per-viewer poll work.
+std::uint64_t steady_window_allocations(std::uint32_t hls_viewers) {
+  Simulator sim;
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  core::SessionConfig cfg;
+  cfg.broadcast_len = 300 * time::kSecond;
+  cfg.rtmp_viewers = 0;
+  cfg.hls_viewers = hls_viewers;
+  cfg.global_viewers = false;
+  cfg.poll_wheel_slots = 1;
+  cfg.latency = geo::LatencyModel({.jitter_fraction = 0.0});
+  cfg.w2f.jitter_fraction = 0.0;
+  cfg.viewer_last_mile.jitter_fraction = 0.0;
+  cfg.uplink.link.jitter_fraction = 0.0;
+  cfg.uplink.outage_rate_per_s = 0.0;
+  cfg.seed = 11;
+  core::BroadcastSession session(sim, catalog, cfg);
+  session.start();
+  sim.run_until(60 * time::kSecond);
+  const std::uint64_t before = allocation_count();
+  sim.run_until(240 * time::kSecond);
+  const std::uint64_t window = allocation_count() - before;
+  EXPECT_EQ(session.edges().size(), 1u);
+  sim.run();
+  return window;
+}
+
+TEST(EngineAllocations, SteadyHlsPollingAllocationsDoNotGrowWithViewers) {
+  // What remains in the window is per-frame and per-chunk work (the
+  // broadcaster side, origin fetches, chunk ledgers), the same for both
+  // audiences.
+  const std::uint64_t n = steady_window_allocations(40);
+  const std::uint64_t n2 = steady_window_allocations(80);
+  EXPECT_GT(n, 0u);
+  EXPECT_EQ(n, n2) << "HLS polling allocates per viewer";
 }
 
 }  // namespace

@@ -369,8 +369,7 @@ Fired run_churn_on_timers(const std::vector<ChurnOp>& ops, TimeUs horizon,
 
 TEST(PollWheelChurn, RandomizedScheduleMatchesPerMemberTimersExactly) {
   constexpr DurationUs kPeriod = 1000;
-  constexpr std::uint32_t kBuckets = 8;
-  constexpr TimeUs kHorizon = 20000;  // 20 rotations
+  constexpr TimeUs kHorizon = 20000;  // ~20 rotations
   // Same-instant ticks are compared as a set (sorted by tag): when an
   // attach lands between an older member's re-arms, the timer's firing
   // order within that instant is scheduling order while the wheel's is
@@ -382,13 +381,19 @@ TEST(PollWheelChurn, RandomizedScheduleMatchesPerMemberTimersExactly) {
     std::sort(f.begin(), f.end());
     return f;
   };
-  for (std::uint64_t seed : {3u, 17u, 99u}) {
-    const auto ops = churn_schedule(seed, 40, kHorizon, kPeriod);
-    const auto wheel = run_churn_on_wheel(ops, kHorizon, kPeriod, kBuckets);
-    const auto timers = run_churn_on_timers(ops, kHorizon, kPeriod, kBuckets);
-    ASSERT_FALSE(wheel.empty());
-    EXPECT_EQ(canonical(wheel), canonical(timers))
-        << "churn divergence at seed " << seed;
+  // Bucket counts around the occupancy bitmap's 64-bucket words: one
+  // bucket, partial words (8, 63), exactly one word (64), one bucket into
+  // the second word (65), and a partial third word (130).
+  for (std::uint32_t buckets : {1u, 8u, 63u, 64u, 65u, 130u}) {
+    for (std::uint64_t seed : {3u, 17u, 99u}) {
+      const auto ops = churn_schedule(seed, 40, kHorizon, kPeriod);
+      const auto wheel = run_churn_on_wheel(ops, kHorizon, kPeriod, buckets);
+      const auto timers =
+          run_churn_on_timers(ops, kHorizon, kPeriod, buckets);
+      ASSERT_FALSE(wheel.empty());
+      EXPECT_EQ(canonical(wheel), canonical(timers))
+          << "churn divergence at " << buckets << " buckets, seed " << seed;
+    }
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "livesim/crawler/service_crawler.h"
 
 namespace livesim::crawler {
@@ -21,8 +23,7 @@ class ServiceCrawlerFixture : public ::testing::Test {
   // some hearts.
   void drive_service(DurationUs horizon, double per_minute = 6.0) {
     auto rng = std::make_shared<Rng>(72);
-    auto arrive = std::make_shared<std::function<void()>>();
-    *arrive = [this, horizon, per_minute, rng, arrive] {
+    arrive_ = [this, horizon, per_minute, rng] {
       if (sim_.now() >= horizon) return;
       geo::UserGeoSampler geo_sampler;
       const auto id = service_.start_broadcast(
@@ -37,14 +38,17 @@ class ServiceCrawlerFixture : public ::testing::Test {
         }
       }
       sim_.schedule_in(
-          time::from_seconds(rng->exponential(60.0 / per_minute)), *arrive);
+          time::from_seconds(rng->exponential(60.0 / per_minute)), arrive_);
     };
-    sim_.schedule_in(0, *arrive);
+    sim_.schedule_in(0, arrive_);
   }
 
   sim::Simulator sim_;
   geo::DatacenterCatalog catalog_;
   core::LivestreamService service_;
+  // The self-rescheduling arrival process; the fixture owns it, so it
+  // does not own itself.
+  std::function<void()> arrive_;
 };
 
 TEST_F(ServiceCrawlerFixture, CapturesEveryBroadcastWithAccurateMetadata) {
