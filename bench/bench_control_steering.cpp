@@ -1,118 +1,79 @@
-// Control plane: proactive drain detection vs reactive spill.
+// Control plane: proactive drain detection vs reactive failover.
 //
-// Part 1 certifies the OFF-parity contract: with the control plane
-// disabled, control_steering_experiment runs the identical shared
-// 4-phase driver and must reproduce capacity_spill_experiment bit for
-// bit (same samples, same order, same spill ledgers) — and at
-// edge_capacity == 0 that experiment in turn reproduces the
-// single-nearest-edge regional experiment. Any "NO -- BUG" line fails
-// the exit code.
+// Part 1 runs the capacity x outage-radius blackout grid of
+// bench_resilience_capacity_spill on the session model
+// (blackout_crowd.h) twice per cell: control plane off (reactive: every
+// viewer burns its own failed poll + 2 s detect window) and on (the
+// HealthMonitor scrapes the dying PoP, publishes the death after
+// steer_latency, and the attached viewers are migrated proactively).
+// Contracts per cell: the control-off arm shows no control activity
+// (proactive_migrations == steered_joins == control_drains == 0), both
+// arms conserve their ledgers, and wherever the blackout forced
+// failovers the proactive mean failover latency is strictly below the
+// reactive one. Steering is not free under finite capacity: the control
+// plane drains edges that load-blind joins pushed near capacity, a
+// drained edge is no failover candidate, and the steered arm can orphan
+// MORE viewers than the reactive one; the table shows both orphan
+// counts.
 //
-// Part 2 sweeps the same capacity x outage-radius blackout grid as
-// bench_resilience_capacity_spill with the scrape/steer model ON, and
-// pins the dominance contract: the proactive detection-time
-// distribution is pointwise <= the reactive one (the client timeout is
-// the fallback, so steering can only ever help) and strictly better in
-// aggregate whenever any viewer is affected.
+// Part 2 certifies determinism: threads {1, 2, 8} fingerprint
+// identically with steering on and a finite capacity.
 //
-// Part 3 certifies determinism: threads {1, 2, 8} fingerprint
-// identically with steering enabled (the steer clamp is serial
-// arithmetic between phase A and phase B; no RNG is touched).
-//
-// Part 4 is an event-level session demo on the engine: the monitor
+// Part 3 is an event-level session demo on the engine: the monitor
 // scrapes a dying PoP, publishes the death after steer_latency, and the
-// attached viewers are migrated proactively — before their own poll
-// timeout + detect window would have noticed — then a second run with
+// attached viewers are migrated proactively -- before their own poll
+// timeout + detect window would have noticed -- then a second run with
 // tight capacity shows the overlay assist parking capacity orphans on
 // the P2P mesh.
 //
 // Results land in BENCH_control.json (grid + fingerprints) so CI can
 // archive them next to BENCH_engine.json.
 //
-// Usage: bench_control_steering [out.json] [broadcasts]  (default 300)
+// Usage: bench_control_steering [out.json]
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "livesim/analysis/control_steering.h"
-#include "livesim/analysis/resilience.h"
+#include "blackout_crowd.h"
 #include "livesim/core/broadcast_session.h"
 #include "livesim/fault/scenario.h"
 #include "livesim/stats/report.h"
-#include "livesim/util/fingerprint.h"
 
 namespace {
 using namespace livesim;
 
-void mix_samples(Fingerprint& m, const stats::Sampler& s) {
-  for (double x : s.samples()) m.mix_double(x);
-}
+struct Arm {
+  std::uint64_t failovers = 0;
+  std::uint64_t orphans = 0;
+  double mean_s = 0.0;
+  std::uint64_t proactive_migrations = 0;
+};
 
-// Every sample (bit pattern, insertion order) plus the spill ledgers —
-// identical mixing to bench_resilience_capacity_spill, so equal
-// fingerprints <=> bit-parity of the underlying data.
-std::uint64_t fingerprint_spill(const analysis::CapacitySpillStats& r) {
-  Fingerprint m;
-  mix_samples(m, r.stall_ratio);
-  mix_samples(m, r.failover_latency_s);
-  m.mix(r.counters.viewers);
-  m.mix(r.counters.affected);
-  m.mix(r.counters.failovers);
-  m.mix(r.counters.orphaned);
-  m.mix(static_cast<std::uint64_t>(r.dark_edges));
-  m.mix(r.edge_spills);
-  m.mix(r.capacity_orphans);
-  m.mix(r.spill_overshoot_km.count());
-  m.mix_double(r.spill_overshoot_km.sum());
-  for (const auto& [site, peak] : r.edge_peak_loads) {
-    m.mix(site);
-    m.mix(peak);
-  }
-  return m.value();
-}
-
-// The steering experiment's full surface: the spill outcome plus both
-// detection-time distributions and the steering ledger.
-std::uint64_t fingerprint_steering(const analysis::ControlSteeringStats& r) {
-  Fingerprint m;
-  m.mix(fingerprint_spill(r.spill));
-  mix_samples(m, r.reactive_detect_s);
-  mix_samples(m, r.proactive_detect_s);
-  m.mix(static_cast<std::uint64_t>(r.steer_published_at));
-  m.mix(r.steered_early);
-  m.mix(r.proactive ? 1 : 0);
-  return m.value();
-}
-
-analysis::ControlSteeringConfig config_for(double radius_km,
-                                           std::uint64_t capacity,
-                                           bool enabled) {
-  analysis::ControlSteeringConfig cfg;
-  cfg.spill.base.radius_km = radius_km;
-  cfg.spill.base.seed = 42;
-  cfg.spill.base.threads = 0;
-  cfg.spill.edge_capacity = capacity;
-  cfg.control.enabled = enabled;
-  return cfg;
+Arm arm_of(const analysis::FlashCrowdStats& r) {
+  return {r.edge_failovers, r.orphaned_viewers,
+          r.edge_failover_latency_s.mean(), r.proactive_migrations};
 }
 
 struct GridCell {
   std::uint64_t capacity = 0;
   double radius_km = 0.0;
   std::size_t dark_edges = 0;
-  std::uint64_t affected = 0;
-  double reactive_p50 = 0.0, reactive_p95 = 0.0;
-  double proactive_p50 = 0.0, proactive_p95 = 0.0;
-  std::uint64_t steered_early = 0;
-  bool dominates = false;
+  Arm reactive, proactive;
+  bool lowers = false;
 };
 
-void write_json(const char* path, int broadcasts,
-                const analysis::ControlSteeringConfig& model,
-                std::uint64_t off_fp, bool off_ok,
-                const std::vector<GridCell>& grid,
+void write_arm(std::FILE* f, const char* name, const Arm& a) {
+  std::fprintf(f,
+               "\"%s\": {\"failovers\": %" PRIu64 ", \"orphans\": %" PRIu64
+               ", \"mean_failover_s\": %.3f, \"proactive_migrations\": %" PRIu64
+               "}",
+               name, a.failovers, a.orphans, a.mean_s, a.proactive_migrations);
+}
+
+void write_json(const char* path, const analysis::FlashCrowdConfig& model,
+                bool off_quiet, const std::vector<GridCell>& grid,
                 const std::vector<std::pair<unsigned, std::uint64_t>>& fps,
                 bool det_ok) {
   std::FILE* f = std::fopen(path, "w");
@@ -121,29 +82,37 @@ void write_json(const char* path, int broadcasts,
     std::exit(1);
   }
   std::fprintf(f, "{\n  \"bench\": \"control_steering\",\n");
-  std::fprintf(f, "  \"broadcasts\": %d,\n", broadcasts);
+  std::fprintf(f, "  \"model\": \"flash_crowd_experiment\",\n");
+  std::fprintf(f,
+               "  \"crowd\": {\"preset\": \"%s\", \"channels\": %u, "
+               "\"viewers\": %u, \"horizon_s\": %.0f, "
+               "\"mean_session_s\": %.0f},\n",
+               model.preset.name.c_str(), model.preset.channels,
+               model.preset.viewers, time::to_seconds(model.preset.horizon),
+               model.preset.mean_session_s);
+  std::fprintf(f,
+               "  \"blackout\": {\"at_s\": %.2f, \"duration_s\": %.0f},\n",
+               time::to_seconds(model.blackout_at),
+               time::to_seconds(model.blackout_duration));
   std::fprintf(f, "  \"scrape_interval_ms\": %lld,\n",
-               static_cast<long long>(model.control.scrape_interval /
+               static_cast<long long>(model.session.control.scrape_interval /
                                       time::kMillisecond));
   std::fprintf(f, "  \"steer_latency_ms\": %lld,\n",
-               static_cast<long long>(model.control.steer_latency /
+               static_cast<long long>(model.session.control.steer_latency /
                                       time::kMillisecond));
-  std::fprintf(f, "  \"off_parity\": {\"fingerprint\": \"%016" PRIx64
-               "\", \"identical\": %s},\n",
-               off_fp, off_ok ? "true" : "false");
+  std::fprintf(f, "  \"off_quiet\": %s,\n", off_quiet ? "true" : "false");
   std::fprintf(f, "  \"grid\": [\n");
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const GridCell& c = grid[i];
-    std::fprintf(
-        f,
-        "    {\"capacity\": %" PRIu64 ", \"radius_km\": %.0f, "
-        "\"dark_edges\": %zu, \"affected\": %" PRIu64
-        ", \"reactive_p50_s\": %.3f, \"reactive_p95_s\": %.3f, "
-        "\"proactive_p50_s\": %.3f, \"proactive_p95_s\": %.3f, "
-        "\"steered_early\": %" PRIu64 ", \"dominates\": %s}%s\n",
-        c.capacity, c.radius_km, c.dark_edges, c.affected, c.reactive_p50,
-        c.reactive_p95, c.proactive_p50, c.proactive_p95, c.steered_early,
-        c.dominates ? "true" : "false", i + 1 < grid.size() ? "," : "");
+    std::fprintf(f,
+                 "    {\"capacity\": %" PRIu64 ", \"radius_km\": %.0f, "
+                 "\"dark_edges\": %zu, ",
+                 c.capacity, c.radius_km, c.dark_edges);
+    write_arm(f, "reactive", c.reactive);
+    std::fprintf(f, ", ");
+    write_arm(f, "proactive", c.proactive);
+    std::fprintf(f, ", \"lowers_mean\": %s}%s\n", c.lowers ? "true" : "false",
+                 i + 1 < grid.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"determinism\": {\"threads\": [");
@@ -163,90 +132,48 @@ void write_json(const char* path, int broadcasts,
 int main(int argc, char** argv) {
   using namespace livesim;
   const char* out = argc > 1 ? argv[1] : "BENCH_control.json";
-  int broadcasts = argc > 2 ? std::atoi(argv[2]) : 300;
-  if (broadcasts <= 0) broadcasts = 300;
-
-  analysis::TraceSetConfig trace_cfg;
-  trace_cfg.broadcasts = broadcasts;
-  trace_cfg.broadcast_len = 2 * time::kMinute;
-  trace_cfg.threads = 0;
-  const auto traces = analysis::generate_traces(trace_cfg);
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
 
-  // --- Part 1: control-plane OFF == reactive spill, bit for bit -------
+  // --- Part 1: reactive vs proactive on the blackout grid --------------
   stats::print_banner(
-      "Parity: control-plane-off reproduces capacity_spill_experiment");
-  std::uint64_t off_fp = 0;
-  bool off_all_ok = true;
-  for (double radius : {0.0, 3000.0}) {
-    for (std::uint64_t capacity : {std::uint64_t{0}, std::uint64_t{25}}) {
-      const auto cfg = config_for(radius, capacity, /*enabled=*/false);
-      const auto spill =
-          analysis::capacity_spill_experiment(traces, catalog, cfg.spill);
-      const auto steer =
-          analysis::control_steering_experiment(traces, catalog, cfg);
-      const std::uint64_t fp_spill = fingerprint_spill(spill);
-      const std::uint64_t fp_off = fingerprint_spill(steer.spill);
-      // Disabled: both detection samplers must collapse to the same
-      // (reactive) distribution and nothing may be steered.
-      Fingerprint ra, pa;
-      mix_samples(ra, steer.reactive_detect_s);
-      mix_samples(pa, steer.proactive_detect_s);
-      const bool ok = fp_spill == fp_off && ra.value() == pa.value() &&
-                      steer.steered_early == 0 && !steer.proactive;
-      off_all_ok = off_all_ok && ok;
-      off_fp = fp_off;
-      std::printf("control-plane-off parity: capacity=%" PRIu64
-                  " radius=%.0f spill=%016" PRIx64 " control=%016" PRIx64
-                  " identical: %s\n",
-                  capacity, radius, fp_spill, fp_off, ok ? "yes" : "NO -- BUG");
-    }
-  }
-  if (!off_all_ok) return 1;
-
-  // --- Part 2: reactive vs proactive detection on the blackout grid ---
-  stats::print_banner(
-      "Blackout grid: reactive vs proactive detection time (seconds)");
-  stats::Table table({"Capacity", "Radius km", "Affected", "React p50",
-                      "React p95", "Proact p50", "Proact p95", "Early",
-                      "Dominates"});
+      "Blackout grid: reactive vs proactive failover (control off / on)");
+  stats::Table table({"Capacity", "Radius km", "Dark", "React fo",
+                      "React mean s", "React orph", "Proact fo",
+                      "Proact mean s", "Proact orph", "Migrations",
+                      "Lowers"});
   std::vector<GridCell> grid;
-  bool grid_dominates = true;
-  analysis::ControlSteeringConfig model;  // for the JSON header cadences
+  bool off_quiet = true;
+  bool grid_lowers = true;
+  const auto model = bench::blackout_crowd(0.0, 0, /*control=*/true);
   for (std::uint64_t capacity : {std::uint64_t{0}, std::uint64_t{100},
                                  std::uint64_t{25}}) {
     for (double radius : {0.0, 1500.0, 3000.0}) {
-      const auto cfg = config_for(radius, capacity, /*enabled=*/true);
-      model = cfg;
-      const auto r =
-          analysis::control_steering_experiment(traces, catalog, cfg);
+      const auto off_cfg = bench::blackout_crowd(radius, capacity, false);
+      const auto off = analysis::flash_crowd_experiment(catalog, off_cfg);
+      const auto on = analysis::flash_crowd_experiment(
+          catalog, bench::blackout_crowd(radius, capacity, true));
+
+      // Off-parity: with the control plane off nothing may be steered.
+      const bool quiet = off.proactive_migrations == 0 &&
+                         off.steered_joins == 0 && off.control_drains == 0;
+      off_quiet = off_quiet && quiet;
+      if (!quiet || !bench::conserved(off) || !bench::conserved(on)) {
+        std::printf("control-off quiet / conservation VIOLATED: "
+                    "capacity=%" PRIu64 " radius=%.0f\n",
+                    capacity, radius);
+        return 1;
+      }
 
       GridCell cell;
       cell.capacity = capacity;
       cell.radius_km = radius;
-      cell.dark_edges = r.spill.dark_edges;
-      cell.affected = r.spill.counters.affected;
-      cell.reactive_p50 = r.reactive_detect_s.quantile(0.5);
-      cell.reactive_p95 = r.reactive_detect_s.quantile(0.95);
-      cell.proactive_p50 = r.proactive_detect_s.quantile(0.5);
-      cell.proactive_p95 = r.proactive_detect_s.quantile(0.95);
-      cell.steered_early = r.steered_early;
-
-      // Dominance: pointwise <= over the SAME viewers (both samplers are
-      // emitted per affected viewer in canonical order), and strictly
-      // better in aggregate whenever anyone was affected.
-      const auto& re = r.reactive_detect_s.samples();
-      const auto& pr = r.proactive_detect_s.samples();
-      bool pointwise = re.size() == pr.size();
-      if (pointwise)
-        for (std::size_t i = 0; i < re.size(); ++i)
-          if (pr[i] > re[i]) {
-            pointwise = false;
-            break;
-          }
-      cell.dominates =
-          pointwise && (cell.affected == 0 || r.steered_early > 0);
-      grid_dominates = grid_dominates && cell.dominates;
+      cell.dark_edges = bench::dark_edges(catalog, off_cfg);
+      cell.reactive = arm_of(off);
+      cell.proactive = arm_of(on);
+      // A cell where either arm has no failovers has nothing to compare.
+      cell.lowers = off.edge_failovers == 0 || on.edge_failovers == 0 ||
+                    cell.proactive.mean_s < cell.reactive.mean_s;
+      grid_lowers = grid_lowers && cell.lowers;
       grid.push_back(cell);
 
       table.add_row(
@@ -254,44 +181,41 @@ int main(int argc, char** argv) {
                ? stats::Table::integer(static_cast<std::int64_t>(capacity))
                : "inf",
            stats::Table::num(radius, 0),
-           stats::Table::integer(static_cast<std::int64_t>(cell.affected)),
-           stats::Table::num(cell.reactive_p50, 3),
-           stats::Table::num(cell.reactive_p95, 3),
-           stats::Table::num(cell.proactive_p50, 3),
-           stats::Table::num(cell.proactive_p95, 3),
-           stats::Table::integer(static_cast<std::int64_t>(cell.steered_early)),
-           cell.dominates ? "yes" : "NO"});
+           stats::Table::integer(static_cast<std::int64_t>(cell.dark_edges)),
+           stats::Table::integer(
+               static_cast<std::int64_t>(cell.reactive.failovers)),
+           stats::Table::num(cell.reactive.mean_s, 3),
+           stats::Table::integer(
+               static_cast<std::int64_t>(cell.reactive.orphans)),
+           stats::Table::integer(
+               static_cast<std::int64_t>(cell.proactive.failovers)),
+           stats::Table::num(cell.proactive.mean_s, 3),
+           stats::Table::integer(
+               static_cast<std::int64_t>(cell.proactive.orphans)),
+           stats::Table::integer(static_cast<std::int64_t>(
+               cell.proactive.proactive_migrations)),
+           cell.lowers ? "yes" : "NO"});
     }
   }
   table.print();
-  std::printf("control_steering dominance on blackout grid"
-              " (proactive <= reactive, pointwise): %s\n",
-              grid_dominates ? "yes" : "NO -- BUG");
-  if (!grid_dominates) return 1;
+  std::printf("control-off arm quiet (no migrations, steered joins or "
+              "drains): %s\n",
+              off_quiet ? "yes" : "NO -- BUG");
+  std::printf("control_steering proactive mean failover < reactive on "
+              "blackout grid: %s\n",
+              grid_lowers ? "yes" : "NO -- BUG");
+  if (!grid_lowers) return 1;
 
-  // --- Part 3: determinism with steering ON, threads {1, 2, 8} --------
+  // --- Part 2: determinism with steering ON, threads {1, 2, 8} --------
   stats::print_banner(
       "Determinism with steering: same seed, threads {1, 2, 8}");
-  auto det_cfg = config_for(0.0, 25, /*enabled=*/true);
-  std::uint64_t ref = 0;
-  bool det_ok = true;
   std::vector<std::pair<unsigned, std::uint64_t>> fps;
-  for (unsigned threads : {1u, 2u, 8u}) {
-    det_cfg.spill.base.threads = threads;
-    const auto r =
-        analysis::control_steering_experiment(traces, catalog, det_cfg);
-    const std::uint64_t fp = fingerprint_steering(r);
-    if (threads == 1) ref = fp;
-    const bool identical = fp == ref;
-    det_ok = det_ok && identical;
-    fps.emplace_back(threads, fp);
-    std::printf("control_steering threads=%u fingerprint=%016" PRIx64
-                " identical: %s\n",
-                threads, fp, identical ? "yes" : "NO -- BUG");
-  }
+  const bool det_ok = bench::thread_fingerprints(
+      catalog, bench::blackout_crowd(0.0, 25, /*control=*/true),
+      "control_steering", &fps);
   if (!det_ok) return 1;
 
-  // --- Part 4: session demo on the engine -----------------------------
+  // --- Part 3: session demo on the engine -----------------------------
   stats::print_banner(
       "Session demo: scrape -> publish -> proactive migration");
   {
@@ -389,7 +313,7 @@ int main(int argc, char** argv) {
                 "yes\n");
   }
 
-  write_json(out, broadcasts, model, off_fp, off_all_ok, grid, fps, det_ok);
+  write_json(out, model, off_quiet, grid, fps, det_ok);
   std::printf("wrote %s\n", out);
   std::printf("\nall checks passed\n");
   return 0;

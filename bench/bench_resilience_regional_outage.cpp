@@ -1,15 +1,15 @@
 // Correlated regional failures & edge-to-edge failover.
 //
-// Part 1 sweeps the blackout radius of a regional outage over the §4.3
-// crawled traces (analysis/resilience.h): as the radius grows, more edge
-// PoPs go dark together, the affected-viewer fraction and stall ratio
-// rise, and failover latency grows as survivors re-anycast ever farther.
-// The zero-radius row is a contract: a single-PoP death must re-anycast
-// 100% of its viewers (failovers == affected) with zero orphans.
+// Part 1 sweeps the blackout radius of a regional outage over a steady
+// Twitch-calibrated crowd run on the session model (blackout_crowd.h):
+// as the radius grows, more edge PoPs go dark together and more attached
+// viewers are hit, and survivors re-anycast farther. The zero-radius row is a contract: a single-PoP death
+// darkens exactly one edge and re-anycasts its viewers (failovers > 0)
+// with zero orphans. Every row must conserve its ledgers (one wheel
+// re-attachment sample per failover).
 //
-// Part 2 certifies the determinism contract: the same seed produces a
-// bit-identical RegionalOutageStats at threads {1, 2, 8} (per-trace RNG
-// substreams; the dark set is computed once).
+// Part 2 certifies the determinism contract: the same config produces
+// a bit-identical FlashCrowdStats::fingerprint at threads {1, 2, 8}.
 //
 // Part 3 is an event-level demo inside full sessions: a fault::
 // FaultScenario blackout kills the edge all of a session's HLS viewers
@@ -18,92 +18,55 @@
 // then LivestreamService::inject_scenario shares a single expanded
 // outage across several concurrent broadcasts.
 //
-// Usage: bench_resilience_regional_outage [broadcasts]   (default 600)
+// Usage: bench_resilience_regional_outage
 #include <cstdio>
-#include <cstdlib>
 
-#include "livesim/analysis/resilience.h"
+#include "blackout_crowd.h"
 #include "livesim/core/service.h"
 #include "livesim/fault/scenario.h"
 #include "livesim/stats/report.h"
-#include "livesim/util/fingerprint.h"
 
-namespace {
-using namespace livesim;
-
-// Position-sensitive FNV-style fingerprint: every sample (bit pattern,
-// insertion order) and every counter is mixed in, so any reordering or
-// single-ULP drift across thread counts shows up.
-std::uint64_t fingerprint(const analysis::RegionalOutageStats& r) {
-  Fingerprint fp;
-  for (double x : r.stall_ratio.samples()) fp.mix_double(x);
-  for (double x : r.failover_latency_s.samples()) fp.mix_double(x);
-  return fp.mix(r.counters.viewers)
-      .mix(r.counters.affected)
-      .mix(r.counters.failovers)
-      .mix(r.counters.orphaned)
-      .mix(static_cast<std::uint64_t>(r.dark_edges))
-      .value();
-}
-
-analysis::RegionalOutageConfig config_for_radius(double radius_km) {
-  analysis::RegionalOutageConfig cfg;
-  cfg.radius_km = radius_km;
-  cfg.seed = 42;
-  cfg.threads = 0;  // all hardware threads; results identical regardless
-  return cfg;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main() {
   using namespace livesim;
-  int broadcasts = 600;
-  if (argc > 1) broadcasts = std::atoi(argv[1]);
-  if (broadcasts <= 0) broadcasts = 600;
-
-  analysis::TraceSetConfig trace_cfg;
-  trace_cfg.broadcasts = broadcasts;
-  trace_cfg.broadcast_len = 2 * time::kMinute;
-  trace_cfg.threads = 0;
-  const auto traces = analysis::generate_traces(trace_cfg);
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
 
   // --- Part 1: outage-radius sweep ------------------------------------
   stats::print_banner(
       "Regional blackout: viewer experience vs outage radius (Frankfurt)");
   const double radii[] = {0.0, 1000.0, 3000.0, 6000.0, 10000.0};
-  stats::Table sweep({"Radius km", "Dark edges", "Affected %", "Stall p50",
-                      "Stall p90", "Failover p50 (s)", "Orphaned %"});
+  stats::Table sweep({"Radius km", "Dark edges", "Affected %", "Failovers",
+                      "Failover mean (s)", "Failover max (s)", "Orphaned"});
   for (double radius : radii) {
-    const auto r = analysis::regional_resilience_experiment(
-        traces, catalog, config_for_radius(radius));
-    const double denom =
-        r.counters.viewers ? static_cast<double>(r.counters.viewers) : 1.0;
+    const auto cfg = bench::blackout_crowd(radius, 0, /*control=*/false);
+    const auto r = analysis::flash_crowd_experiment(catalog, cfg);
+    const std::size_t dark = bench::dark_edges(catalog, cfg);
+    const double denom = r.joins ? static_cast<double>(r.joins) : 1.0;
     sweep.add_row(
         {stats::Table::num(radius, 0),
-         stats::Table::integer(static_cast<std::int64_t>(r.dark_edges)),
+         stats::Table::integer(static_cast<std::int64_t>(dark)),
          stats::Table::num(
-             100.0 * static_cast<double>(r.counters.affected) / denom, 2),
-         stats::Table::num(r.stall_ratio.median(), 4),
-         stats::Table::num(r.stall_ratio.quantile(0.90), 4),
-         r.failover_latency_s.empty()
-             ? "-"
-             : stats::Table::num(r.failover_latency_s.median(), 2),
-         stats::Table::num(
-             100.0 * static_cast<double>(r.counters.orphaned) / denom, 2)});
+             100.0 *
+                 static_cast<double>(r.edge_failovers + r.orphaned_viewers +
+                                     r.overlay_assists) /
+                 denom,
+             2),
+         stats::Table::integer(static_cast<std::int64_t>(r.edge_failovers)),
+         stats::Table::num(r.edge_failover_latency_s.mean(), 2),
+         stats::Table::num(r.edge_failover_latency_s.max(), 2),
+         stats::Table::integer(
+             static_cast<std::int64_t>(r.orphaned_viewers))});
+    if (!bench::conserved(r)) {
+      std::printf("ledger conservation VIOLATED at radius %.0f\n", radius);
+      return 1;
+    }
     if (radius == 0.0) {
-      // The contract: a single dead PoP re-anycasts every one
-      // of its viewers -- no orphans, failovers == affected.
-      std::printf("zero-radius contract: dark_edges=%zu affected=%llu "
-                  "failovers=%llu orphaned=%llu\n",
-                  r.dark_edges,
-                  static_cast<unsigned long long>(r.counters.affected),
-                  static_cast<unsigned long long>(r.counters.failovers),
-                  static_cast<unsigned long long>(r.counters.orphaned));
-      if (r.dark_edges != 1 ||
-          r.counters.failovers != r.counters.affected ||
-          r.counters.orphaned != 0 || r.counters.affected == 0) {
+      // The contract: a single dead PoP re-anycasts its viewers -- no
+      // orphans.
+      std::printf("zero-radius contract: dark_edges=%zu failovers=%llu "
+                  "orphaned=%llu\n",
+                  dark, static_cast<unsigned long long>(r.edge_failovers),
+                  static_cast<unsigned long long>(r.orphaned_viewers));
+      if (dark != 1 || r.edge_failovers == 0 || r.orphaned_viewers != 0) {
         std::printf("zero-radius contract VIOLATED\n");
         return 1;
       }
@@ -112,27 +75,15 @@ int main(int argc, char** argv) {
   sweep.print();
   std::printf("\nShape: a wider blackout darkens more PoPs, touches more "
               "viewers, and pushes survivors onto farther edges (higher "
-              "failover latency); orphans appear only when the whole "
-              "footprint is dark.\n");
+              "failover latency); with unbounded capacity nobody is "
+              "orphaned while any edge is alive.\n");
 
   // --- Part 2: thread-count determinism -------------------------------
   stats::print_banner("Determinism: same seed, threads {1, 2, 8}");
-  auto det_cfg = config_for_radius(3000.0);
-  std::uint64_t ref = 0;
-  bool all_identical = true;
-  for (unsigned threads : {1u, 2u, 8u}) {
-    det_cfg.threads = threads;
-    const auto r =
-        analysis::regional_resilience_experiment(traces, catalog, det_cfg);
-    const std::uint64_t fp = fingerprint(r);
-    if (threads == 1) ref = fp;
-    const bool identical = fp == ref;
-    all_identical = all_identical && identical;
-    std::printf("threads=%u fingerprint=%016llx identical: %s\n", threads,
-                static_cast<unsigned long long>(fp),
-                identical ? "yes" : "NO -- BUG");
-  }
-  if (!all_identical) return 1;
+  if (!bench::thread_fingerprints(
+          catalog, bench::blackout_crowd(3000.0, 0, /*control=*/false),
+          "regional"))
+    return 1;
 
   // --- Part 3a: edge death inside a full session ----------------------
   stats::print_banner(

@@ -45,11 +45,11 @@ TSAN_OPTIONS="halt_on_error=1:abort_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
   "$BUILD"/tests/livesim_engine_alloc_tests \
   || fail "data race or test failure in the engine allocation-contract suite"
 
-# The resilience experiments (randomized sweep AND the regional-outage
-# sweep) shard fault-injected broadcasts over the same pool; their
-# determinism tests double as a race detector for the fault path.
+# The randomized fault sweep shards fault-injected broadcasts over the
+# same pool; its determinism tests double as a race detector for the
+# fault path.
 TSAN_OPTIONS="halt_on_error=1:abort_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
-  "$BUILD"/tests/livesim_resilience_tests --gtest_filter='ResilienceDeterminism*:NoFaultParity*:RegionalDeterminism*:ScenarioExpansion*:CrowdDeterminism*' \
+  "$BUILD"/tests/livesim_resilience_tests --gtest_filter='ResilienceDeterminism*:NoFaultParity*:ScenarioExpansion*:CrowdDeterminism*' \
   || fail "data race or test failure in the resilience determinism suites"
 
 # The poll-wheel battery: cohort churn against the slot arena, plus the
@@ -60,18 +60,17 @@ TSAN_OPTIONS="halt_on_error=1:abort_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
   "$BUILD"/tests/livesim_poll_wheel_tests \
   || fail "data race or test failure in the poll-wheel battery"
 
-# The control-plane battery: the steering experiment shards fault-
-# injected broadcasts over the pool (control_steering_experiment runs a
-# full capacity-spill sweep per thread count), so its determinism and
-# off-parity suites double as a race check on the scrape/publish path.
+# The control-plane battery: scrape -> publish timing, proactive
+# migration and the overlay assist on the engine.
 TSAN_OPTIONS="halt_on_error=1:abort_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
   "$BUILD"/tests/livesim_control_tests \
   || fail "data race or test failure in the control-plane battery"
 
 # The crowd battery: the flash-crowd experiment shards whole services
-# (engine + wheels + control plane + crowd drive) over the pool per
-# channel, so its thread-determinism suite doubles as a race check on
-# the entire service stack under parallel_map.
+# (engine + wheels + capacity spill + control plane + crowd drive) over
+# the pool per channel via parallel_for_plan, so its thread-determinism
+# suites (blackout, capacity spill, steering) double as a race check on the
+# entire service stack -- the path the blackout benches run.
 TSAN_OPTIONS="halt_on_error=1:abort_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
   "$BUILD"/tests/livesim_crowd_tests \
   || fail "data race or test failure in the crowd battery"

@@ -14,20 +14,20 @@
 // (seed, i), via two independent RNG substreams, so results are
 // byte-identical at every thread count. A zero fault rate degenerates to
 // a clean RTMP playback walk with zero failovers.
+//
+// Edge blackouts (regional outage, capacity spill, control-plane
+// steering) are not replayed here: BroadcastSession runs them, and the
+// blackout benches drive them through analysis::flash_crowd_experiment.
 #ifndef LIVESIM_ANALYSIS_RESILIENCE_H
 #define LIVESIM_ANALYSIS_RESILIENCE_H
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "livesim/analysis/experiments.h"
 #include "livesim/client/adaptive.h"
 #include "livesim/client/retry.h"
 #include "livesim/fault/fault.h"
-#include "livesim/fault/scenario.h"
-#include "livesim/geo/datacenters.h"
-#include "livesim/stats/accumulator.h"
 #include "livesim/stats/sampler.h"
 #include "livesim/util/time.h"
 
@@ -87,136 +87,6 @@ struct ResilienceStats {
 /// (config.seed) at every thread count.
 ResilienceStats resilience_experiment(
     const std::vector<BroadcastTrace>& traces, const ResilienceConfig& config);
-
-// ---------------------------------------------------------------------
-// Regional-outage experiment: a correlated blackout hits every edge PoP
-// within a radius, and the attached HLS viewers must detect the silent
-// edge (failed poll + detect timeout), re-anycast to the nearest edge
-// still alive, and re-fill their pipeline through a cold cache — the
-// second pipeline flush. Viewers with no live edge left are orphaned and
-// score the entire missing tail as stall.
-
-struct RegionalOutageConfig {
-  /// Blackout geometry (fault::RegionalBlackoutSpec semantics: the
-  /// nearest edge is always dark, radius 0 kills exactly one PoP).
-  geo::GeoPoint center{50.11, 8.68};  // Frankfurt
-  double radius_km = 0.0;
-  TimeUs outage_at = 30 * time::kSecond;
-  DurationUs outage_duration = 30 * time::kSecond;
-
-  /// HLS viewers sampled per broadcast (global user distribution).
-  std::uint32_t viewers_per_broadcast = 4;
-  DurationUs poll_interval = time::from_seconds(2.8);
-  /// Silent-edge detection: first dead poll -> re-anycast decision.
-  DurationUs detect_timeout = 2 * time::kSecond;
-  /// Mean ingest->edge pull latency; also the cold-cache penalty the
-  /// first post-failover poll pays at the new edge.
-  DurationUs w2f_offset = 300 * time::kMillisecond;
-  client::AdaptivePlayback::Params playback{};
-  std::uint64_t seed = 1;
-  unsigned threads = 1;  // 0 = all hardware threads
-};
-
-/// Additive per-shard counters (merge order never matters).
-struct RegionalOutageCounters {
-  std::uint64_t viewers = 0;
-  /// Viewers whose attached edge went dark under them mid-polling.
-  std::uint64_t affected = 0;
-  /// Affected viewers successfully re-anycast to a live edge.
-  std::uint64_t failovers = 0;
-  /// Affected viewers with no live edge left (footprint-wide blackout).
-  std::uint64_t orphaned = 0;
-
-  void merge(const RegionalOutageCounters& o) noexcept {
-    viewers += o.viewers;
-    affected += o.affected;
-    failovers += o.failovers;
-    orphaned += o.orphaned;
-  }
-};
-
-struct RegionalOutageStats {
-  /// Per viewer: stalled + never-delivered media over total media.
-  stats::Sampler stall_ratio;
-  /// Per failover: edge death -> first chunk on screen via the new edge
-  /// (detection + re-anycast + cold fetch + download), seconds.
-  stats::Sampler failover_latency_s;
-  RegionalOutageCounters counters;
-  /// Edge sites the blackout darkened (from the scenario, not merged).
-  std::size_t dark_edges = 0;
-};
-
-/// Replays each trace through `viewers_per_broadcast` HLS viewers under
-/// one shared regional blackout. Deterministic in (config.seed) at every
-/// thread count: each trace draws from its own substream, and the dark
-/// set is computed once from (catalog, center, radius).
-RegionalOutageStats regional_resilience_experiment(
-    const std::vector<BroadcastTrace>& traces,
-    const geo::DatacenterCatalog& catalog, const RegionalOutageConfig& config);
-
-// ---------------------------------------------------------------------
-// Capacity-aware spill experiment: the same regional blackout, but each
-// edge PoP has a finite concurrent-viewer capacity. Failed-over viewers
-// re-anycast to the nearest live edge with a free slot among the
-// `spill_k` nearest, overflowing ring by ring; a viewer is orphaned only
-// when every candidate is dark or full. Capacity gates FAILOVER
-// admissions only — the initial anycast join is load-blind (IP anycast
-// does not know occupancy) but still counts toward an edge's load, so a
-// popular edge can refuse spill traffic from day one.
-//
-// Determinism: a shared load ledger would make naive per-viewer
-// parallelism racy, so the driver runs in phases — (A) a parallel
-// pre-walk that replays each viewer's RNG draws in exactly the order
-// regional_resilience_experiment makes them and walks to the re-anycast
-// decision point; (B) a SERIAL admission pass over affected viewers in
-// (decision time, trace, viewer) order against the ledger; (C) a
-// parallel resumption of the walks (no RNG is drawn after the decision);
-// (D) a serial emission of samples in canonical (trace, viewer) order.
-// Results are byte-identical at every thread count, and with
-// edge_capacity == 0 they reproduce regional_resilience_experiment's
-// samplers and counters bit for bit.
-
-struct CapacitySpillConfig {
-  /// Blackout geometry, viewer population, cadences, seed, threads —
-  /// identical semantics to the regional-outage experiment.
-  RegionalOutageConfig base{};
-  /// Concurrent viewers one edge will ADMIT on failover. 0 = unbounded,
-  /// which degenerates to regional_resilience_experiment bit for bit.
-  std::uint64_t edge_capacity = 0;
-  /// Failover candidates = the spill_k nearest live edges. 0 = the
-  /// entire footprint.
-  std::uint32_t spill_k = 0;
-};
-
-struct CapacitySpillStats {
-  /// Per viewer, canonical (trace, viewer) order: stalled plus
-  /// never-delivered media over total media.
-  stats::Sampler stall_ratio;
-  /// Per completed failover: edge death -> first chunk via the admitted
-  /// edge, seconds.
-  stats::Sampler failover_latency_s;
-  RegionalOutageCounters counters;
-  std::size_t dark_edges = 0;
-
-  /// Failover admissions that overflowed past a live-but-full edge.
-  std::uint64_t edge_spills = 0;
-  /// Extra kilometres the spilled viewer travels past its nearest live
-  /// edge (0 km when the tied co-located site absorbed it).
-  stats::Accumulator spill_overshoot_km;
-  /// Orphans that saw at least one live candidate — i.e. orphaned by
-  /// capacity (or a too-small spill_k), not by a footprint-wide blackout.
-  std::uint64_t capacity_orphans = 0;
-  /// Per edge site id: peak concurrent load (anycast joins + admitted
-  /// spill), sorted by site id. The hotspot pile-up ledger.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> edge_peak_loads;
-};
-
-/// Replays each trace through `base.viewers_per_broadcast` HLS viewers
-/// under one shared regional blackout with per-edge capacity.
-/// Deterministic in (base.seed) at every thread count.
-CapacitySpillStats capacity_spill_experiment(
-    const std::vector<BroadcastTrace>& traces,
-    const geo::DatacenterCatalog& catalog, const CapacitySpillConfig& config);
 
 }  // namespace livesim::analysis
 

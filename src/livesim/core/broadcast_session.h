@@ -306,9 +306,12 @@ class BroadcastSession {
   const control::ControlPlane* control_plane() const noexcept {
     return control_.get();
   }
-  /// Viewers migrated off a published-dead edge by the control plane
-  /// BEFORE their own poll timeout would have noticed (subset of
-  /// edge_failovers()).
+  /// Migrations the control plane started off a published-dead edge
+  /// BEFORE the viewers' own poll timeout would have noticed. Counted
+  /// when the migration starts, so with finite edge_capacity it can
+  /// exceed edge_failovers(): a started migration may end as an orphan
+  /// or a mesh rescue instead. Always <= edge_failovers() +
+  /// orphaned_viewers() + overlay_assists().
   std::uint64_t proactive_migrations() const noexcept {
     return proactive_migrations_;
   }

@@ -1,17 +1,15 @@
 // Control-plane battery: the Timeseries telemetry ring, the steering
 // state machine (triggers, hysteresis, cooldown, revival), scrape ->
-// publish timing on the engine, the control-off bit-parity contract,
-// steering determinism across thread counts, the flapping-edge
-// regression, and the attach/detach conservation + failure-streak
-// satellites on the cdn servers.
+// publish timing on the engine, proactive migration inside a session,
+// the flapping-edge regression, and the attach/detach conservation +
+// failure-streak satellites on the cdn servers. Experiment-level
+// steering contracts run on flash_crowd_experiment (crowd battery).
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "livesim/analysis/control_steering.h"
-#include "livesim/analysis/resilience.h"
 #include "livesim/cdn/servers.h"
 #include "livesim/control/health_monitor.h"
 #include "livesim/core/broadcast_session.h"
@@ -507,6 +505,9 @@ TEST(SessionControl, OverlayAssistParksCapacityOrphans) {
   EXPECT_EQ(session.edge_failovers(), 2u);
   EXPECT_EQ(session.overlay_assists(), 4u);
   EXPECT_EQ(session.orphaned_viewers(), 0u);
+  EXPECT_LE(session.proactive_migrations(),
+            session.edge_failovers() + session.orphaned_viewers() +
+                session.overlay_assists());
   ASSERT_NE(session.assist_mesh(), nullptr);
   EXPECT_EQ(session.assist_mesh()->peers(), 4u);
   EXPECT_GT(session.assist_mesh()->server_egress_chunks(), 0u);
@@ -515,99 +516,31 @@ TEST(SessionControl, OverlayAssistParksCapacityOrphans) {
   EXPECT_TRUE(cp->overlay_assist_active());
 }
 
-// --- experiment-level contracts ----------------------------------------
-
-std::vector<analysis::BroadcastTrace> small_traces() {
-  analysis::TraceSetConfig cfg;
-  cfg.broadcasts = 12;
-  cfg.broadcast_len = time::kMinute;
-  cfg.threads = 1;
-  return analysis::generate_traces(cfg);
-}
-
-analysis::ControlSteeringConfig steering_config(bool enabled) {
-  analysis::ControlSteeringConfig cfg;
-  cfg.spill.base.seed = 42;
-  cfg.spill.base.threads = 1;
-  cfg.spill.base.radius_km = 1500.0;
-  cfg.spill.edge_capacity = 25;
-  cfg.control.enabled = enabled;
-  return cfg;
-}
-
-void expect_same_samples(const stats::Sampler& a, const stats::Sampler& b) {
-  ASSERT_EQ(a.size(), b.size());
-  const auto& av = a.samples();
-  const auto& bv = b.samples();
-  for (std::size_t i = 0; i < av.size(); ++i) EXPECT_EQ(av[i], bv[i]) << i;
-}
-
-TEST(ControlSteeringExperiment, DisabledIsCapacitySpillBitForBit) {
-  const auto traces = small_traces();
+// proactive_migrations() counts migrations the control plane STARTED.
+// Under capacity refusals a started migration ends as an orphan instead
+// of a failover, so the count exceeds edge_failovers() but never the
+// three outcomes together.
+TEST(SessionControl, ProactiveMigrationsCountStartedNotCompleted) {
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  const auto cfg = steering_config(/*enabled=*/false);
+  sim::Simulator sim;
+  auto cfg = blackout_session(catalog, 6, 20 * time::kSecond,
+                              15 * time::kSecond);
+  cfg.edge_capacity = 1;     // failover admits one viewer per edge
+  cfg.failover_spill_k = 2;  // two candidate rings, no mesh assist
+  cfg.control.enabled = true;
+  core::BroadcastSession session(sim, catalog, cfg);
+  session.start();
+  sim.run();
+  session.finalize();
 
-  const auto spill =
-      analysis::capacity_spill_experiment(traces, catalog, cfg.spill);
-  const auto steer =
-      analysis::control_steering_experiment(traces, catalog, cfg);
-
-  expect_same_samples(spill.stall_ratio, steer.spill.stall_ratio);
-  expect_same_samples(spill.failover_latency_s,
-                      steer.spill.failover_latency_s);
-  EXPECT_EQ(spill.counters.viewers, steer.spill.counters.viewers);
-  EXPECT_EQ(spill.counters.affected, steer.spill.counters.affected);
-  EXPECT_EQ(spill.counters.failovers, steer.spill.counters.failovers);
-  EXPECT_EQ(spill.counters.orphaned, steer.spill.counters.orphaned);
-  EXPECT_EQ(spill.edge_spills, steer.spill.edge_spills);
-  EXPECT_EQ(spill.capacity_orphans, steer.spill.capacity_orphans);
-  EXPECT_EQ(spill.edge_peak_loads, steer.spill.edge_peak_loads);
-
-  // Disabled: both detection models collapse to the reactive one.
-  EXPECT_FALSE(steer.proactive);
-  EXPECT_EQ(steer.steer_published_at, TimeUs{0});
-  EXPECT_EQ(steer.steered_early, 0u);
-  expect_same_samples(steer.reactive_detect_s, steer.proactive_detect_s);
-}
-
-TEST(ControlSteeringExperiment, ProactiveDominatesPointwise) {
-  const auto traces = small_traces();
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  const auto r = analysis::control_steering_experiment(
-      traces, catalog, steering_config(/*enabled=*/true));
-
-  ASSERT_TRUE(r.proactive);
-  ASSERT_GT(r.spill.counters.affected, 0u);
-  const auto& re = r.reactive_detect_s.samples();
-  const auto& pr = r.proactive_detect_s.samples();
-  ASSERT_EQ(re.size(), pr.size());
-  for (std::size_t i = 0; i < re.size(); ++i)
-    EXPECT_LE(pr[i], re[i]) << "viewer " << i;
-  // The default cadences (scrape 500 ms + steer 100 ms vs a 2 s detect
-  // window) beat the client timeout for every affected viewer.
-  EXPECT_EQ(r.steered_early, re.size());
-}
-
-TEST(ControlSteeringExperiment, SteeringDeterministicAcrossThreads) {
-  const auto traces = small_traces();
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  auto cfg = steering_config(/*enabled=*/true);
-
-  cfg.spill.base.threads = 1;
-  const auto r1 = analysis::control_steering_experiment(traces, catalog, cfg);
-  for (unsigned threads : {2u, 8u}) {
-    cfg.spill.base.threads = threads;
-    const auto r =
-        analysis::control_steering_experiment(traces, catalog, cfg);
-    expect_same_samples(r1.spill.stall_ratio, r.spill.stall_ratio);
-    expect_same_samples(r1.spill.failover_latency_s,
-                        r.spill.failover_latency_s);
-    expect_same_samples(r1.reactive_detect_s, r.reactive_detect_s);
-    expect_same_samples(r1.proactive_detect_s, r.proactive_detect_s);
-    EXPECT_EQ(r1.steer_published_at, r.steer_published_at);
-    EXPECT_EQ(r1.steered_early, r.steered_early);
-    EXPECT_EQ(r1.spill.edge_peak_loads, r.spill.edge_peak_loads);
-  }
+  // Two rings x capacity 1 admit two; the other four are refused.
+  EXPECT_EQ(session.proactive_migrations(), 6u);
+  EXPECT_EQ(session.edge_failovers(), 2u);
+  EXPECT_EQ(session.orphaned_viewers(), 4u);
+  EXPECT_GT(session.proactive_migrations(), session.edge_failovers());
+  EXPECT_LE(session.proactive_migrations(),
+            session.edge_failovers() + session.orphaned_viewers() +
+                session.overlay_assists());
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // chaining, LivestreamService::drive_crowd admission/churn contracts,
 // the pinned wheel-lane churn outcome, steered placement against published
 // drain verdicts (the cross-session control-plane gap), and the
-// flash-crowd experiment's thread-determinism pin.
+// flash-crowd experiment's thread-determinism and steering pins.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -305,28 +305,107 @@ TEST(SteeredPlacement, NoControlPlaneMeansEmptyUnionAndNoSteering) {
 
 // --- analysis::flash_crowd_experiment ----------------------------------
 
-analysis::FlashCrowdConfig experiment_config(unsigned threads) {
+analysis::FlashCrowdConfig experiment_config(unsigned threads,
+                                             std::uint64_t capacity = 0) {
   analysis::FlashCrowdConfig cfg;
   cfg.preset = small_crowd(8, 2000);
   cfg.preset.spike_amplitude = 6.0;
   cfg.threads = threads;
-  cfg.session.edge_capacity = 0;
+  cfg.session.edge_capacity = capacity;
   cfg.session.control.enabled = true;
   return cfg;
 }
 
+// Runs `cfg` at threads {1, 2, 8}, expects every thread-count-free
+// outcome to match, and returns the threads=1 stats.
+analysis::FlashCrowdStats expect_thread_identical(
+    const geo::DatacenterCatalog& catalog, analysis::FlashCrowdConfig cfg) {
+  cfg.threads = 1;
+  const auto one = flash_crowd_experiment(catalog, cfg);
+  for (unsigned threads : {2u, 8u}) {
+    cfg.threads = threads;
+    const auto n = flash_crowd_experiment(catalog, cfg);
+    EXPECT_EQ(one.fingerprint, n.fingerprint) << "threads=" << threads;
+    EXPECT_EQ(one.joins, n.joins) << "threads=" << threads;
+    EXPECT_EQ(one.leaves, n.leaves) << "threads=" << threads;
+    EXPECT_EQ(one.events_processed, n.events_processed);
+    EXPECT_EQ(one.peak_edge_load, n.peak_edge_load);
+    EXPECT_EQ(one.edge_failovers, n.edge_failovers);
+    EXPECT_EQ(one.orphaned_viewers, n.orphaned_viewers);
+    EXPECT_EQ(one.edge_spills, n.edge_spills);
+    EXPECT_EQ(one.proactive_migrations, n.proactive_migrations);
+    EXPECT_EQ(one.steered_joins, n.steered_joins);
+    EXPECT_EQ(one.control_drains, n.control_drains);
+  }
+  return one;
+}
+
 TEST(FlashCrowdExperiment, ByteIdenticalAcrossThreadCounts) {
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  const auto one = flash_crowd_experiment(catalog, experiment_config(1));
-  const auto two = flash_crowd_experiment(catalog, experiment_config(2));
-  const auto eight = flash_crowd_experiment(catalog, experiment_config(8));
+  expect_thread_identical(catalog, experiment_config(1));
+}
 
-  EXPECT_EQ(one.fingerprint, two.fingerprint);
-  EXPECT_EQ(one.fingerprint, eight.fingerprint);
-  EXPECT_EQ(one.joins, eight.joins);
-  EXPECT_EQ(one.leaves, eight.leaves);
-  EXPECT_EQ(one.events_processed, eight.events_processed);
-  EXPECT_EQ(one.peak_edge_load, eight.peak_edge_load);
+// A wide regional blackout with unbounded edges and no control plane:
+// the reactive re-anycast path alone must not depend on threads.
+TEST(RegionalDeterminism, ByteIdenticalAtThreads128) {
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  auto cfg = experiment_config(1);
+  cfg.session.control.enabled = false;
+  cfg.blackout_radius_km = 3000.0;
+  const auto one = expect_thread_identical(catalog, cfg);
+  ASSERT_GT(one.edge_failovers, 0u);  // the blackout actually hit viewers
+  EXPECT_EQ(one.edge_spills, 0u);
+}
+
+// Finite capacity adds the serial spill admission inside each unit; it
+// may not depend on threads, and every spill records one overshoot.
+TEST(CapacitySpill, FiniteCapacityByteIdenticalAtThreads128) {
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  auto cfg = experiment_config(1, /*capacity=*/25);
+  cfg.session.control.enabled = false;
+  const auto one = expect_thread_identical(catalog, cfg);
+  ASSERT_GT(one.edge_failovers, 0u);
+  ASSERT_GT(one.edge_spills, 0u);  // the capacity actually bit
+  EXPECT_EQ(one.spill_distance_km.count(), one.edge_spills);
+  EXPECT_GE(one.spill_distance_km.min(), 0.0);
+}
+
+// The control plane's drains, steered joins and proactive migrations on
+// top of capacity refusals may not depend on threads either.
+TEST(ControlSteeringExperiment, SteeringDeterministicAcrossThreads) {
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  const auto one =
+      expect_thread_identical(catalog, experiment_config(1, /*capacity=*/25));
+  ASSERT_GT(one.edge_spills, 0u);
+  ASSERT_GT(one.proactive_migrations, 0u);  // steering actually acted
+}
+
+// The control plane publishes a death after one scrape + steer latency,
+// well inside the 2 s client detect window, so steering lowers the mean
+// failover latency, with or without capacity refusals. The control-off
+// arm must show no control activity at all.
+TEST(FlashCrowdExperiment, ProactiveLowersMeanFailoverLatency) {
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  for (std::uint64_t capacity : {std::uint64_t{0}, std::uint64_t{25}}) {
+    auto off_cfg = experiment_config(1, capacity);
+    off_cfg.session.control.enabled = false;
+    const auto off = flash_crowd_experiment(catalog, off_cfg);
+    const auto on =
+        flash_crowd_experiment(catalog, experiment_config(1, capacity));
+
+    EXPECT_EQ(off.proactive_migrations, 0u);
+    EXPECT_EQ(off.steered_joins, 0u);
+    EXPECT_EQ(off.control_drains, 0u);
+    ASSERT_GT(off.edge_failovers, 0u) << "capacity " << capacity;
+    ASSERT_GT(on.edge_failovers, 0u) << "capacity " << capacity;
+    EXPECT_GT(on.proactive_migrations, 0u);
+    // Each started migration ends as a failover, an orphan or a rescue.
+    EXPECT_LE(on.proactive_migrations,
+              on.edge_failovers + on.orphaned_viewers + on.overlay_assists);
+    EXPECT_LT(on.edge_failover_latency_s.mean(),
+              off.edge_failover_latency_s.mean())
+        << "capacity " << capacity;
+  }
 }
 
 TEST(FlashCrowdExperiment, BlackoutUnderStormForcesProactiveMigration) {

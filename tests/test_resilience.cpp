@@ -474,54 +474,7 @@ TEST(Failover, RejoinDefaultsOffSoMigratedViewersStayOnHls) {
   for (const auto& v : session.viewer_results()) EXPECT_TRUE(v.hls);
 }
 
-// --- 7. Regional experiment & service-level injection ----------------
-
-std::uint64_t fingerprint(const analysis::RegionalOutageStats& r) {
-  Fingerprint h;
-  h.mix(fingerprint(r.stall_ratio));
-  h.mix(fingerprint(r.failover_latency_s));
-  h.mix(r.counters.viewers);
-  h.mix(r.counters.affected);
-  h.mix(r.counters.failovers);
-  h.mix(r.counters.orphaned);
-  h.mix(static_cast<std::uint64_t>(r.dark_edges));
-  return h.value();
-}
-
-TEST(RegionalDeterminism, ByteIdenticalAtThreads128) {
-  const auto traces = small_trace_set(1);
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  analysis::RegionalOutageConfig cfg;
-  cfg.radius_km = 3000.0;
-  cfg.seed = 77;
-
-  cfg.threads = 1;
-  const auto r1 = analysis::regional_resilience_experiment(traces, catalog,
-                                                           cfg);
-  ASSERT_GT(r1.counters.affected, 0u);
-
-  for (unsigned threads : {2u, 8u}) {
-    cfg.threads = threads;
-    const auto rn =
-        analysis::regional_resilience_experiment(traces, catalog, cfg);
-    EXPECT_EQ(fingerprint(r1), fingerprint(rn))
-        << "regional run diverged at threads=" << threads;
-  }
-}
-
-TEST(RegionalDeterminism, ZeroRadiusFailsOverEveryAffectedViewer) {
-  const auto traces = small_trace_set(1);
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  analysis::RegionalOutageConfig cfg;  // radius_km defaults to 0
-  cfg.seed = 3;
-  const auto r = analysis::regional_resilience_experiment(traces, catalog,
-                                                          cfg);
-  EXPECT_EQ(r.dark_edges, 1u);
-  ASSERT_GT(r.counters.affected, 0u);
-  EXPECT_EQ(r.counters.failovers, r.counters.affected);
-  EXPECT_EQ(r.counters.orphaned, 0u);
-  EXPECT_EQ(r.failover_latency_s.size(), r.counters.failovers);
-}
+// --- 7. Service-level scenario injection ------------------------------
 
 TEST(NoFaultParity, EmptyScenarioInjectionIsBitIdenticalToCleanSession) {
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
@@ -602,100 +555,6 @@ TEST(ScenarioInjection, ServiceSharesOneOutageAcrossLiveBroadcasts) {
 }
 
 // --- 8. Per-edge capacity & the spill policy --------------------------
-
-// The projection the parity contract compares: exactly the fields both
-// experiment types share, mixed identically on both sides. Returned as an
-// open chain: the spill fingerprint below keeps mixing into it.
-Fingerprint fingerprint_common(const stats::Sampler& stall,
-                               const stats::Sampler& latency,
-                               const analysis::RegionalOutageCounters& c,
-                               std::size_t dark_edges) {
-  Fingerprint h;
-  h.mix(fingerprint(stall));
-  h.mix(fingerprint(latency));
-  h.mix(c.viewers);
-  h.mix(c.affected);
-  h.mix(c.failovers);
-  h.mix(c.orphaned);
-  h.mix(static_cast<std::uint64_t>(dark_edges));
-  return h;
-}
-
-std::uint64_t fingerprint(const analysis::CapacitySpillStats& r) {
-  Fingerprint h = fingerprint_common(r.stall_ratio, r.failover_latency_s,
-                                     r.counters, r.dark_edges);
-  h.mix(r.edge_spills);
-  h.mix(r.capacity_orphans);
-  h.mix(r.spill_overshoot_km.count());
-  h.mix_double(r.spill_overshoot_km.sum());
-  for (const auto& [site, peak] : r.edge_peak_loads) {
-    h.mix(site);
-    h.mix(peak);
-  }
-  return h.value();
-}
-
-// The PR 3 parity contract: edge_capacity == 0 must reproduce the
-// single-nearest-edge regional experiment bit for bit — same samples in
-// the same order, same counters — with the spill ledgers empty.
-TEST(CapacitySpill, InfiniteCapacityReproducesRegionalExperimentBitForBit) {
-  const auto traces = small_trace_set(1);
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  for (double radius : {0.0, 3000.0}) {
-    analysis::CapacitySpillConfig ccfg;  // edge_capacity defaults to 0
-    ccfg.base.radius_km = radius;
-    ccfg.base.seed = 77;
-    const auto reg =
-        analysis::regional_resilience_experiment(traces, catalog, ccfg.base);
-    const auto cap =
-        analysis::capacity_spill_experiment(traces, catalog, ccfg);
-    EXPECT_EQ(fingerprint_common(reg.stall_ratio, reg.failover_latency_s,
-                                 reg.counters, reg.dark_edges)
-                  .value(),
-              fingerprint_common(cap.stall_ratio, cap.failover_latency_s,
-                                 cap.counters, cap.dark_edges)
-                  .value())
-        << "parity broke at radius " << radius;
-    EXPECT_EQ(cap.edge_spills, 0u);
-    EXPECT_EQ(cap.capacity_orphans, 0u);
-    EXPECT_TRUE(cap.spill_overshoot_km.empty());
-    // The load ledger still ran: anycast joins count even when nothing
-    // spills.
-    EXPECT_FALSE(cap.edge_peak_loads.empty());
-  }
-}
-
-// The acceptance contract: a finite-capacity zero-radius outage spills
-// deterministically ring by ring — byte-identical at threads {1, 2, 8}.
-TEST(CapacitySpill, FiniteCapacityByteIdenticalAtThreads128) {
-  const auto traces = small_trace_set(1);
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
-  analysis::CapacitySpillConfig cfg;
-  cfg.base.radius_km = 0.0;
-  cfg.base.seed = 77;
-  cfg.edge_capacity = 25;
-
-  cfg.base.threads = 1;
-  const auto r1 = analysis::capacity_spill_experiment(traces, catalog, cfg);
-  ASSERT_GT(r1.counters.affected, 0u);
-  ASSERT_GT(r1.edge_spills, 0u);  // the capacity actually bit
-
-  for (unsigned threads : {2u, 8u}) {
-    cfg.base.threads = threads;
-    const auto rn = analysis::capacity_spill_experiment(traces, catalog, cfg);
-    EXPECT_EQ(fingerprint(r1), fingerprint(rn))
-        << "capacity-spill run diverged at threads=" << threads;
-  }
-
-  // Conservation: every affected viewer re-anycasts or orphans; every
-  // spill recorded exactly one overshoot sample; capacity orphans are a
-  // subset of orphans.
-  EXPECT_EQ(r1.counters.failovers + r1.counters.orphaned,
-            r1.counters.affected);
-  EXPECT_EQ(r1.spill_overshoot_km.count(), r1.edge_spills);
-  EXPECT_LE(r1.capacity_orphans, r1.counters.orphaned);
-  EXPECT_GE(r1.spill_overshoot_km.min(), 0.0);
-}
 
 // Event-level spill: six co-located viewers, capacity two, their PoP
 // dies. Two land on the nearest live edge; four must overflow outward,
