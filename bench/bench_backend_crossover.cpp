@@ -28,72 +28,51 @@
 
 #include "livesim/analysis/backends.h"
 #include "livesim/stats/report.h"
+#include "livesim/util/json_writer.h"
 
 namespace {
 using namespace livesim;
 
-void write_breakdown(std::FILE* f, const char* name,
-                     const core::DelayBreakdown& b, const char* tail) {
-  std::fprintf(f,
-               "  \"%s\": {\"upload_s\": %.6f, \"chunking_s\": %.6f, "
-               "\"w2f_s\": %.6f, \"polling_s\": %.6f, \"last_mile_s\": %.6f, "
-               "\"buffering_s\": %.6f, \"total_s\": %.6f}%s\n",
-               name, b.upload_s.mean(), b.chunking_s.mean(), b.w2f_s.mean(),
-               b.polling_s.mean(), b.last_mile_s.mean(), b.buffering_s.mean(),
-               b.total_s(), tail);
+void write_breakdown(JsonWriter& w, const char* name,
+                     const core::DelayBreakdown& b) {
+  w.key(name).begin_object();
+  w.field("upload_s", b.upload_s.mean(), 6);
+  w.field("chunking_s", b.chunking_s.mean(), 6);
+  w.field("w2f_s", b.w2f_s.mean(), 6);
+  w.field("polling_s", b.polling_s.mean(), 6);
+  w.field("last_mile_s", b.last_mile_s.mean(), 6);
+  w.field("buffering_s", b.buffering_s.mean(), 6);
+  w.field("total_s", b.total_s(), 6).end_object();
 }
 
-void write_json(const char* path, int reps,
+bool write_json(const char* path, int reps,
                 const analysis::BackendBreakdownResult& r,
                 const std::vector<std::pair<unsigned, std::uint64_t>>& fps,
-                bool det_ok, bool parity_ok,
+                bool parity_ok,
                 const std::vector<analysis::CrossoverPoint>& sweep,
                 std::uint32_t rtmp_vs_llhls, std::uint32_t rtmp_vs_hls,
                 double wall_ms_per_rep) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    std::exit(1);
+  JsonWriter w;
+  w.begin_object().field("bench", "backend_crossover");
+  w.field("schema_version", 1).field("repetitions", reps);
+  write_determinism(w, fps);
+  w.key("legacy_parity").begin_object();
+  w.field("pin", JsonWriter::hex(analysis::kLegacyBreakdownFingerprint));
+  w.field("match", parity_ok).end_object();
+  write_breakdown(w, "rtmp", r.rtmp);
+  write_breakdown(w, "llhls", r.llhls);
+  write_breakdown(w, "hls", r.hls);
+  w.key("cost_sweep").begin_array();
+  for (const auto& p : sweep) {
+    w.begin_object().field("viewers", p.viewers);
+    w.field("rtmp_cpu", p.rtmp_cpu_percent, 4);
+    w.field("llhls_cpu", p.llhls_cpu_percent, 4);
+    w.field("hls_cpu", p.hls_cpu_percent, 4).end_object();
   }
-  std::fprintf(f, "{\n  \"bench\": \"backend_crossover\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"repetitions\": %d,\n", reps);
-  std::fprintf(f, "  \"determinism\": {\"threads\": [");
-  for (std::size_t i = 0; i < fps.size(); ++i)
-    std::fprintf(f, "%u%s", fps[i].first, i + 1 < fps.size() ? ", " : "");
-  std::fprintf(f, "], \"fingerprints\": [");
-  for (std::size_t i = 0; i < fps.size(); ++i)
-    std::fprintf(f, "\"%016" PRIx64 "\"%s", fps[i].second,
-                 i + 1 < fps.size() ? ", " : "");
-  std::fprintf(f, "], \"identical\": %s},\n", det_ok ? "true" : "false");
-  std::fprintf(f,
-               "  \"legacy_parity\": {\"pin\": \"%016" PRIx64
-               "\", \"match\": %s},\n",
-               analysis::kLegacyBreakdownFingerprint,
-               parity_ok ? "true" : "false");
-  write_breakdown(f, "rtmp", r.rtmp, ",");
-  write_breakdown(f, "llhls", r.llhls, ",");
-  write_breakdown(f, "hls", r.hls, ",");
-  std::fprintf(f, "  \"cost_sweep\": [\n");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const auto& p = sweep[i];
-    std::fprintf(f,
-                 "    {\"viewers\": %u, \"rtmp_cpu\": %.4f, \"llhls_cpu\": "
-                 "%.4f, \"hls_cpu\": %.4f}%s\n",
-                 p.viewers, p.rtmp_cpu_percent, p.llhls_cpu_percent,
-                 p.hls_cpu_percent, i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"crossover_viewers\": {\"rtmp_vs_llhls\": %u, "
-               "\"rtmp_vs_hls\": %u},\n",
-               rtmp_vs_llhls, rtmp_vs_hls);
-  std::fprintf(f, "  \"wall_ms_per_rep\": %.1f\n", wall_ms_per_rep);
-  std::fprintf(f, "}\n");
-  if (std::fclose(f) != 0) {  // a failed flush leaves a truncated file
-    std::fprintf(stderr, "cannot write %s\n", path);
-    std::exit(1);
-  }
+  w.end_array().key("crossover_viewers").begin_object();
+  w.field("rtmp_vs_llhls", rtmp_vs_llhls).field("rtmp_vs_hls", rtmp_vs_hls);
+  w.end_object().field("wall_ms_per_rep", wall_ms_per_rep, 1).end_object();
+  return w.save(path);
 }
 
 }  // namespace
@@ -195,8 +174,9 @@ int main(int argc, char** argv) {
               "llhls at %u (hls first: %s)\n",
               rtmp_vs_hls, rtmp_vs_llhls, cross_ok ? "yes" : "NO -- BUG");
 
-  write_json(out, static_cast<int>(reps), r, fps, det_ok, parity_ok, sweep,
-             rtmp_vs_llhls, rtmp_vs_hls, wall_ms_per_rep);
+  if (!write_json(out, static_cast<int>(reps), r, fps, parity_ok, sweep,
+                  rtmp_vs_llhls, rtmp_vs_hls, wall_ms_per_rep))
+    return 1;
   std::printf("wrote %s\n", out);
 
   if (!delay_ok || !parity_ok || !between_ok || !fixed_ok || !cross_ok)

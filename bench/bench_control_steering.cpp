@@ -32,7 +32,6 @@
 // Usage: bench_control_steering [out.json]
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -40,91 +39,49 @@
 #include "livesim/core/broadcast_session.h"
 #include "livesim/fault/scenario.h"
 #include "livesim/stats/report.h"
+#include "livesim/util/json_writer.h"
 
 namespace {
 using namespace livesim;
-
-struct Arm {
-  std::uint64_t failovers = 0;
-  std::uint64_t orphans = 0;
-  double mean_s = 0.0;
-  std::uint64_t proactive_migrations = 0;
-};
-
-Arm arm_of(const analysis::FlashCrowdStats& r) {
-  return {r.edge_failovers, r.orphaned_viewers,
-          r.edge_failover_latency_s.mean(), r.proactive_migrations};
-}
 
 struct GridCell {
   std::uint64_t capacity = 0;
   double radius_km = 0.0;
   std::size_t dark_edges = 0;
-  Arm reactive, proactive;
+  core::SessionCounters reactive, proactive;
   bool lowers = false;
 };
 
-void write_arm(std::FILE* f, const char* name, const Arm& a) {
-  std::fprintf(f,
-               "\"%s\": {\"failovers\": %" PRIu64 ", \"orphans\": %" PRIu64
-               ", \"mean_failover_s\": %.3f, \"proactive_migrations\": %" PRIu64
-               "}",
-               name, a.failovers, a.orphans, a.mean_s, a.proactive_migrations);
-}
-
-void write_json(const char* path, const analysis::FlashCrowdConfig& model,
+bool write_json(const char* path, const analysis::FlashCrowdConfig& model,
                 bool off_quiet, const std::vector<GridCell>& grid,
-                const std::vector<std::pair<unsigned, std::uint64_t>>& fps,
-                bool det_ok) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    std::exit(1);
+                const std::vector<std::pair<unsigned, std::uint64_t>>& fps) {
+  const auto& p = model.preset;
+  const auto& control = model.session.control;
+  JsonWriter w;
+  w.begin_object().field("bench", "control_steering");
+  w.field("schema_version", 2).field("model", "flash_crowd_experiment");
+  w.key("crowd").begin_object().field("preset", p.name);
+  w.field("channels", p.channels).field("viewers", p.viewers);
+  w.field("horizon_s", time::to_seconds(p.horizon), 0);
+  w.field("mean_session_s", p.mean_session_s, 0).end_object();
+  w.key("blackout").begin_object();
+  w.field("at_s", time::to_seconds(model.blackout_at), 2);
+  w.field("duration_s", time::to_seconds(model.blackout_duration), 0);
+  w.end_object();
+  w.field("scrape_interval_ms", control.scrape_interval / time::kMillisecond);
+  w.field("steer_latency_ms", control.steer_latency / time::kMillisecond);
+  w.field("off_quiet", off_quiet).key("grid").begin_array();
+  for (const GridCell& c : grid) {
+    w.begin_object().field("capacity", c.capacity);
+    w.field("radius_km", c.radius_km, 0).field("dark_edges", c.dark_edges);
+    core::write_json(w.key("reactive"), c.reactive);
+    core::write_json(w.key("proactive"), c.proactive);
+    w.field("lowers_mean", c.lowers).end_object();
   }
-  std::fprintf(f, "{\n  \"bench\": \"control_steering\",\n");
-  std::fprintf(f, "  \"model\": \"flash_crowd_experiment\",\n");
-  std::fprintf(f,
-               "  \"crowd\": {\"preset\": \"%s\", \"channels\": %u, "
-               "\"viewers\": %u, \"horizon_s\": %.0f, "
-               "\"mean_session_s\": %.0f},\n",
-               model.preset.name.c_str(), model.preset.channels,
-               model.preset.viewers, time::to_seconds(model.preset.horizon),
-               model.preset.mean_session_s);
-  std::fprintf(f,
-               "  \"blackout\": {\"at_s\": %.2f, \"duration_s\": %.0f},\n",
-               time::to_seconds(model.blackout_at),
-               time::to_seconds(model.blackout_duration));
-  std::fprintf(f, "  \"scrape_interval_ms\": %lld,\n",
-               static_cast<long long>(model.session.control.scrape_interval /
-                                      time::kMillisecond));
-  std::fprintf(f, "  \"steer_latency_ms\": %lld,\n",
-               static_cast<long long>(model.session.control.steer_latency /
-                                      time::kMillisecond));
-  std::fprintf(f, "  \"off_quiet\": %s,\n", off_quiet ? "true" : "false");
-  std::fprintf(f, "  \"grid\": [\n");
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const GridCell& c = grid[i];
-    std::fprintf(f,
-                 "    {\"capacity\": %" PRIu64 ", \"radius_km\": %.0f, "
-                 "\"dark_edges\": %zu, ",
-                 c.capacity, c.radius_km, c.dark_edges);
-    write_arm(f, "reactive", c.reactive);
-    std::fprintf(f, ", ");
-    write_arm(f, "proactive", c.proactive);
-    std::fprintf(f, ", \"lowers_mean\": %s}%s\n", c.lowers ? "true" : "false",
-                 i + 1 < grid.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"determinism\": {\"threads\": [");
-  for (std::size_t i = 0; i < fps.size(); ++i)
-    std::fprintf(f, "%u%s", fps[i].first, i + 1 < fps.size() ? ", " : "");
-  std::fprintf(f, "], \"fingerprints\": [");
-  for (std::size_t i = 0; i < fps.size(); ++i)
-    std::fprintf(f, "\"%016" PRIx64 "\"%s", fps[i].second,
-                 i + 1 < fps.size() ? ", " : "");
-  std::fprintf(f, "], \"identical\": %s}\n", det_ok ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.end_array();
+  write_determinism(w, fps);
+  w.end_object();
+  return w.save(path);
 }
 
 }  // namespace
@@ -147,7 +104,7 @@ int main(int argc, char** argv) {
   const auto model = bench::blackout_crowd(0.0, 0, /*control=*/true);
   for (std::uint64_t capacity : {std::uint64_t{0}, std::uint64_t{100},
                                  std::uint64_t{25}}) {
-    for (double radius : {0.0, 1500.0, 3000.0}) {
+    for (double radius : bench::kBlackoutRadii) {
       const auto off_cfg = bench::blackout_crowd(radius, capacity, false);
       const auto off = analysis::flash_crowd_experiment(catalog, off_cfg);
       const auto on = analysis::flash_crowd_experiment(
@@ -168,11 +125,13 @@ int main(int argc, char** argv) {
       cell.capacity = capacity;
       cell.radius_km = radius;
       cell.dark_edges = bench::dark_edges(catalog, off_cfg);
-      cell.reactive = arm_of(off);
-      cell.proactive = arm_of(on);
+      cell.reactive = off;
+      cell.proactive = on;
+      const double off_mean = off.edge_failover_latency_s.mean();
+      const double on_mean = on.edge_failover_latency_s.mean();
       // A cell where either arm has no failovers has nothing to compare.
       cell.lowers = off.edge_failovers == 0 || on.edge_failovers == 0 ||
-                    cell.proactive.mean_s < cell.reactive.mean_s;
+                    on_mean < off_mean;
       grid_lowers = grid_lowers && cell.lowers;
       grid.push_back(cell);
 
@@ -183,17 +142,17 @@ int main(int argc, char** argv) {
            stats::Table::num(radius, 0),
            stats::Table::integer(static_cast<std::int64_t>(cell.dark_edges)),
            stats::Table::integer(
-               static_cast<std::int64_t>(cell.reactive.failovers)),
-           stats::Table::num(cell.reactive.mean_s, 3),
+               static_cast<std::int64_t>(off.edge_failovers)),
+           stats::Table::num(off_mean, 3),
            stats::Table::integer(
-               static_cast<std::int64_t>(cell.reactive.orphans)),
+               static_cast<std::int64_t>(off.orphaned_viewers)),
            stats::Table::integer(
-               static_cast<std::int64_t>(cell.proactive.failovers)),
-           stats::Table::num(cell.proactive.mean_s, 3),
+               static_cast<std::int64_t>(on.edge_failovers)),
+           stats::Table::num(on_mean, 3),
            stats::Table::integer(
-               static_cast<std::int64_t>(cell.proactive.orphans)),
-           stats::Table::integer(static_cast<std::int64_t>(
-               cell.proactive.proactive_migrations)),
+               static_cast<std::int64_t>(on.orphaned_viewers)),
+           stats::Table::integer(
+               static_cast<std::int64_t>(on.proactive_migrations)),
            cell.lowers ? "yes" : "NO"});
     }
   }
@@ -242,17 +201,17 @@ int main(int argc, char** argv) {
     session.finalize();
 
     const auto* cp = session.control_plane();
+    const core::SessionCounters c = session.counters();
     std::printf("scrapes: %" PRIu64 "  publications: %" PRIu64
                 "  deaths: %" PRIu64 "  proactive migrations: %" PRIu64
                 " of %u viewers\n",
                 cp->scrapes(), cp->publications(), cp->policy().deaths(),
-                session.proactive_migrations(), scfg.hls_viewers);
+                c.proactive_migrations, scfg.hls_viewers);
     // The monitor's detection window (one scrape + steer latency, 0.6 s)
     // beats the client's 2 s failover_detect_timeout: every viewer must
     // be migrated proactively, none reactively, none orphaned.
-    if (session.proactive_migrations() != 6 ||
-        session.edge_failovers() != 6 || session.orphaned_viewers() != 0 ||
-        cp->policy().deaths() == 0) {
+    if (c.proactive_migrations != 6 || c.edge_failovers != 6 ||
+        c.orphaned_viewers != 0 || cp->policy().deaths() == 0) {
       std::printf("SESSION STEERING CONTRACT VIOLATED -- expected 6 "
                   "proactive migrations, 0 orphans\n");
       return 1;
@@ -290,18 +249,19 @@ int main(int argc, char** argv) {
     sim.run();
     session.finalize();
 
+    const core::SessionCounters c = session.counters();
     std::printf("overlay assists: %" PRIu64 "  mesh peers: %" PRIu64
                 "  server egress chunks: %" PRIu64 "  orphans: %" PRIu64
                 "\n",
-                session.overlay_assists(),
+                c.overlay_assists,
                 session.assist_mesh() ? session.assist_mesh()->peers() : 0,
                 session.assist_mesh()
                     ? session.assist_mesh()->server_egress_chunks()
                     : 0,
-                session.orphaned_viewers());
+                c.orphaned_viewers);
     // Two rings x capacity 1 admit two viewers; the other four are
     // capacity orphans the armed mesh must absorb — zero frozen players.
-    if (session.overlay_assists() != 4 || session.orphaned_viewers() != 0 ||
+    if (c.overlay_assists != 4 || c.orphaned_viewers != 0 ||
         session.assist_mesh() == nullptr ||
         session.assist_mesh()->peers() != 4 ||
         session.assist_mesh()->server_egress_chunks() == 0) {
@@ -313,7 +273,7 @@ int main(int argc, char** argv) {
                 "yes\n");
   }
 
-  write_json(out, model, off_quiet, grid, fps, det_ok);
+  if (!write_json(out, model, off_quiet, grid, fps)) return 1;
   std::printf("wrote %s\n", out);
   std::printf("\nall checks passed\n");
   return 0;

@@ -50,6 +50,7 @@
 #include "livesim/analysis/flash_crowd.h"
 #include "livesim/geo/datacenters.h"
 #include "livesim/stats/report.h"
+#include "livesim/util/json_writer.h"
 #include "livesim/workload/crowd.h"
 
 namespace {
@@ -146,18 +147,13 @@ long peak_rss_kb() {
   return ru.ru_maxrss;  // kilobytes on Linux
 }
 
-struct ScalingRun {
-  std::uint64_t viewers = 0;
+// One rung of the scaling grid: the experiment's stats plus its wall
+// clock and peak RSS.
+struct ScalingRun : analysis::FlashCrowdStats {
   unsigned threads = 0;
-  std::uint32_t sub_shards = 0;
-  std::uint64_t joins = 0;
   double wall_ns = 0.0;
   double wall_ns_per_join = 0.0;
   long rss_kb = 0;
-  double planned_speedup = 0.0;
-  double shard_imbalance = 0.0;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t crowd_fingerprint = 0;
 };
 
 ScalingRun run_scaling(const geo::DatacenterCatalog& catalog,
@@ -166,21 +162,14 @@ ScalingRun run_scaling(const geo::DatacenterCatalog& catalog,
   const auto cfg = giant_config(viewers, threads, sub_shards);
   reset_peak_rss();
   const auto t0 = std::chrono::steady_clock::now();
-  const auto r = analysis::flash_crowd_experiment(catalog, cfg);
+  ScalingRun out{analysis::flash_crowd_experiment(catalog, cfg)};
   const auto t1 = std::chrono::steady_clock::now();
-  ScalingRun out;
-  out.viewers = r.viewers;
   out.threads = threads;
-  out.sub_shards = sub_shards;
-  out.joins = r.joins;
   out.wall_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-  out.wall_ns_per_join = out.wall_ns / static_cast<double>(r.joins ? r.joins : 1);
+  out.wall_ns_per_join =
+      out.wall_ns / static_cast<double>(out.joins ? out.joins : 1);
   out.rss_kb = peak_rss_kb();
-  out.planned_speedup = r.planned_speedup;
-  out.shard_imbalance = r.shard_imbalance;
-  out.fingerprint = r.fingerprint;
-  out.crowd_fingerprint = r.crowd_fingerprint;
   std::printf("crowd_scaling run viewers=%" PRIu64 " threads=%u sub_shards=%u"
               " joins=%" PRIu64 " wall_ns_per_join=%.0f rss_kb=%ld"
               " planned=%.2fx imbalance=%.2f\n",
@@ -190,100 +179,48 @@ ScalingRun run_scaling(const geo::DatacenterCatalog& catalog,
   return out;
 }
 
-void write_json(const char* path, const analysis::FlashCrowdConfig& cfg,
+bool write_json(const char* path, const analysis::FlashCrowdConfig& cfg,
                 const analysis::FlashCrowdStats& on,
                 const analysis::FlashCrowdStats& off,
                 const std::vector<std::pair<unsigned, std::uint64_t>>& fps,
-                bool det_ok, double wall_ns_per_join,
+                double wall_ns_per_join,
                 const std::vector<ScalingRun>& scaling) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    std::exit(1);
+  JsonWriter w;
+  w.begin_object().field("bench", "crowd_service").field("schema_version", 3);
+  w.field("preset", cfg.preset.name).field("viewers", on.viewers);
+  w.field("channels", cfg.preset.channels);
+  w.field("horizon_s", time::to_seconds(cfg.preset.horizon), 0);
+  w.field("batch_window_us", cfg.batch_window);
+  w.key("blackout").begin_object().key("center").begin_array();
+  w.value(cfg.blackout_center.lat_deg, 2);
+  w.value(cfg.blackout_center.lon_deg, 2).end_array();
+  w.field("radius_km", cfg.blackout_radius_km, 0);
+  w.field("at_s", time::to_seconds(cfg.blackout_at), 0);
+  w.field("duration_s", time::to_seconds(cfg.blackout_duration), 0);
+  w.end_object();
+  write_determinism(w, fps);
+  w.field("joins", on.joins).field("late_joins", on.late_joins);
+  w.field("leaves", on.leaves).field("batches", on.batches);
+  core::write_json(w.key("admission_latency_s"), on.admission_latency_s, 6);
+  w.field("peak_edge_load", on.peak_edge_load);
+  w.field("events_processed", on.events_processed);
+  core::write_json(w.key("counters"), on);
+  core::write_json(w.key("reactive_counters"), off);
+  w.field("wall_ns_per_join", wall_ns_per_join, 0);
+  w.key("scaling").begin_array();
+  for (const ScalingRun& s : scaling) {
+    w.begin_object().field("viewers", s.viewers).field("threads", s.threads);
+    w.field("sub_shards", s.sub_shards).field("joins", s.joins);
+    w.field("wall_ns_per_join", s.wall_ns_per_join, 0);
+    w.field("peak_rss_kb", s.rss_kb);
+    w.field("planned_speedup", s.planned_speedup, 3);
+    w.field("shard_imbalance", s.shard_imbalance, 3);
+    w.field("fingerprint", JsonWriter::hex(s.fingerprint));
+    w.field("crowd_fingerprint", JsonWriter::hex(s.crowd_fingerprint));
+    w.end_object();
   }
-  std::fprintf(f, "{\n  \"bench\": \"crowd_service\",\n");
-  std::fprintf(f, "  \"schema_version\": 2,\n");
-  std::fprintf(f, "  \"preset\": \"%s\",\n", cfg.preset.name.c_str());
-  std::fprintf(f, "  \"viewers\": %" PRIu64 ",\n", on.viewers);
-  std::fprintf(f, "  \"channels\": %u,\n", cfg.preset.channels);
-  std::fprintf(f, "  \"horizon_s\": %.0f,\n",
-               time::to_seconds(cfg.preset.horizon));
-  std::fprintf(f, "  \"batch_window_us\": %lld,\n",
-               static_cast<long long>(cfg.batch_window));
-  std::fprintf(f,
-               "  \"blackout\": {\"center\": [%.2f, %.2f], \"radius_km\": "
-               "%.0f, \"at_s\": %.0f, \"duration_s\": %.0f},\n",
-               cfg.blackout_center.lat_deg, cfg.blackout_center.lon_deg,
-               cfg.blackout_radius_km, time::to_seconds(cfg.blackout_at),
-               time::to_seconds(cfg.blackout_duration));
-  std::fprintf(f, "  \"determinism\": {\"threads\": [");
-  for (std::size_t i = 0; i < fps.size(); ++i)
-    std::fprintf(f, "%u%s", fps[i].first, i + 1 < fps.size() ? ", " : "");
-  std::fprintf(f, "], \"fingerprints\": [");
-  for (std::size_t i = 0; i < fps.size(); ++i)
-    std::fprintf(f, "\"%016" PRIx64 "\"%s", fps[i].second,
-                 i + 1 < fps.size() ? ", " : "");
-  std::fprintf(f, "], \"identical\": %s},\n", det_ok ? "true" : "false");
-  std::fprintf(f,
-               "  \"joins\": %" PRIu64 ", \"late_joins\": %" PRIu64
-               ", \"leaves\": %" PRIu64 ", \"batches\": %" PRIu64 ",\n",
-               on.joins, on.late_joins, on.leaves, on.batches);
-  std::fprintf(f,
-               "  \"admission_latency_us\": {\"mean\": %.1f, \"max\": %.1f},\n",
-               on.admission_latency_s.mean() * 1e6,
-               on.admission_latency_s.max() * 1e6);
-  std::fprintf(f,
-               "  \"steered_joins\": %" PRIu64 ", \"edge_failovers\": %" PRIu64
-               ",\n",
-               on.steered_joins, on.edge_failovers);
-  std::fprintf(
-      f, "  \"edge_failover_latency_s\": {\"mean\": %.3f, \"max\": %.3f},\n",
-      on.edge_failover_latency_s.mean(), on.edge_failover_latency_s.max());
-  std::fprintf(f,
-               "  \"reattach_latency_s\": {\"count\": %" PRIu64
-               ", \"mean\": %.3f, \"max\": %.3f},\n",
-               on.reattach_latency_s.count(), on.reattach_latency_s.mean(),
-               on.reattach_latency_s.max());
-  std::fprintf(f,
-               "  \"proactive_migrations\": %" PRIu64
-               ", \"orphaned_viewers\": %" PRIu64 ", \"edge_spills\": %" PRIu64
-               ", \"overlay_assists\": %" PRIu64 ", \"control_drains\": %" PRIu64
-               ",\n",
-               on.proactive_migrations, on.orphaned_viewers, on.edge_spills,
-               on.overlay_assists, on.control_drains);
-  std::fprintf(f,
-               "  \"peak_edge_load\": %" PRIu64
-               ", \"events_processed\": %" PRIu64 ",\n",
-               on.peak_edge_load, on.events_processed);
-  std::fprintf(f,
-               "  \"reactive\": {\"edge_failovers\": %" PRIu64
-               ", \"edge_failover_latency_mean_s\": %.3f, "
-               "\"proactive_migrations\": %" PRIu64
-               ", \"orphaned_viewers\": %" PRIu64 "},\n",
-               off.edge_failovers, off.edge_failover_latency_s.mean(),
-               off.proactive_migrations, off.orphaned_viewers);
-  std::fprintf(f, "  \"wall_ns_per_join\": %.0f,\n", wall_ns_per_join);
-  std::fprintf(f, "  \"scaling\": [\n");
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    const ScalingRun& s = scaling[i];
-    std::fprintf(f,
-                 "    {\"viewers\": %" PRIu64 ", \"threads\": %u, "
-                 "\"sub_shards\": %u, \"joins\": %" PRIu64
-                 ", \"wall_ns_per_join\": %.0f, \"peak_rss_kb\": %ld, "
-                 "\"planned_speedup\": %.3f, \"shard_imbalance\": %.3f, "
-                 "\"fingerprint\": \"%016" PRIx64
-                 "\", \"crowd_fingerprint\": \"%016" PRIx64 "\"}%s\n",
-                 s.viewers, s.threads, s.sub_shards, s.joins,
-                 s.wall_ns_per_join, s.rss_kb, s.planned_speedup,
-                 s.shard_imbalance, s.fingerprint, s.crowd_fingerprint,
-                 i + 1 < scaling.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  if (std::fclose(f) != 0) {  // a failed flush leaves a truncated file
-    std::fprintf(stderr, "cannot write %s\n", path);
-    std::exit(1);
-  }
+  w.end_array().end_object();
+  return w.save(path);
 }
 
 }  // namespace
@@ -480,7 +417,8 @@ int main(int argc, char** argv) {
     std::printf("crowd_scaling 1M rung skipped (set LIVESIM_BENCH_SCALE=1)\n");
   }
 
-  write_json(out, cfg1, on, off, fps, det_ok, wall_ns_per_join, scaling);
+  if (!write_json(out, cfg1, on, off, fps, wall_ns_per_join, scaling))
+    return 1;
   std::printf("wrote %s\n", out);
 
   if (!scale_ok || !adm_ok || !storm_ok || !steer_ok || !reattach_ok ||

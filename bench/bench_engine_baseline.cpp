@@ -38,6 +38,7 @@
 #include "livesim/sim/poll_wheel.h"
 #include "livesim/sim/simulator.h"
 #include "livesim/util/fingerprint.h"
+#include "livesim/util/json_writer.h"
 #include "livesim/util/rng.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -342,30 +343,21 @@ MixResult measure_flash_crowd(std::size_t n, int reps) {
   return r;
 }
 
-void write_json(const char* path, const std::vector<MixResult>& mixes,
+bool write_json(const char* path, const std::vector<MixResult>& mixes,
                 std::size_t n, int reps) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    std::exit(1);
+  JsonWriter w;
+  w.begin_object().field("bench", "engine_baseline").field("n_events", n);
+  w.field("reps", reps).field("peak_rss_kb", peak_rss_kb());
+  w.key("mixes").begin_array();
+  for (const MixResult& m : mixes) {
+    w.begin_object().field("name", m.name).field("events", m.events);
+    w.field("ns_per_event", m.ns_per_event(), 1);
+    w.field("events_per_sec", m.events_per_sec(), 0);
+    w.field("fingerprint", JsonWriter::hex(m.fingerprint));
+    w.field("deterministic", m.deterministic).end_object();
   }
-  std::fprintf(f, "{\n  \"bench\": \"engine_baseline\",\n");
-  std::fprintf(f, "  \"n_events\": %zu,\n  \"reps\": %d,\n", n, reps);
-  std::fprintf(f, "  \"peak_rss_kb\": %ld,\n", peak_rss_kb());
-  std::fprintf(f, "  \"mixes\": [\n");
-  for (std::size_t i = 0; i < mixes.size(); ++i) {
-    const MixResult& m = mixes[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"events\": %" PRIu64
-                 ", \"ns_per_event\": %.1f, \"events_per_sec\": %.0f,"
-                 " \"fingerprint\": \"%016" PRIx64
-                 "\", \"deterministic\": %s}%s\n",
-                 m.name, m.events, m.ns_per_event(), m.events_per_sec(),
-                 m.fingerprint, m.deterministic ? "true" : "false",
-                 i + 1 < mixes.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  w.end_array().end_object();
+  return w.save(path);
 }
 
 }  // namespace
@@ -395,7 +387,7 @@ int main(int argc, char** argv) {
   std::printf("engine_baseline all mixes deterministic: %s\n",
               all_deterministic ? "yes" : "NO -- BUG");
 
-  write_json(out, mixes, n, reps);
+  if (!write_json(out, mixes, n, reps)) return 1;
   std::printf("wrote %s\n", out);
   return all_deterministic ? 0 : 1;
 }

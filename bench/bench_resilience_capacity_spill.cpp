@@ -38,7 +38,7 @@ int main() {
                       "Orphans", "Peak load max"});
   for (std::uint64_t capacity : {std::uint64_t{0}, std::uint64_t{100},
                                  std::uint64_t{25}}) {
-    for (double radius : {0.0, 1500.0, 3000.0}) {
+    for (double radius : bench::kBlackoutRadii) {
       const auto cfg = bench::blackout_crowd(radius, capacity,
                                              /*control=*/false);
       const auto r = analysis::flash_crowd_experiment(catalog, cfg);
@@ -113,15 +113,16 @@ int main() {
     sim.run();
     session.finalize();
 
+    const core::SessionCounters c = session.counters();
     std::printf("edge failovers:  %llu of %u HLS viewers\n",
-                static_cast<unsigned long long>(session.edge_failovers()),
+                static_cast<unsigned long long>(c.edge_failovers),
                 scfg.hls_viewers);
     std::printf("edge spills:     %llu (admissions past a full edge)\n",
-                static_cast<unsigned long long>(session.edge_spills()));
-    if (!session.spill_distance_km().empty())
+                static_cast<unsigned long long>(c.edge_spills));
+    if (!c.spill_distance_km.empty())
       std::printf("spill overshoot: %.0f km mean past the nearest live "
                   "edge\n",
-                  session.spill_distance_km().mean());
+                  c.spill_distance_km.mean());
     std::printf("peak loads:     ");
     for (const auto& [site, peak] : session.edge_peak_loads())
       std::printf(" %s=%llu", catalog.get(DatacenterId{site}).city.c_str(),
@@ -130,9 +131,8 @@ int main() {
 
     // Capacity 2 admits two viewers to the nearest live edge; the other
     // four must overflow outward — four spills, zero orphans.
-    if (session.edge_failovers() != 6 || session.orphaned_viewers() != 0 ||
-        session.edge_spills() != 4 ||
-        session.spill_distance_km().count() != 4) {
+    if (c.edge_failovers != 6 || c.orphaned_viewers != 0 ||
+        c.edge_spills != 4 || c.spill_distance_km.count() != 4) {
       std::printf("SESSION SPILL CONTRACT VIOLATED -- expected 6 failovers, "
                   "4 spills, 0 orphans\n");
       return 1;

@@ -147,20 +147,21 @@ int main(int argc, char** argv) {
   sim.run();
   session.finalize();
 
+  const core::SessionCounters c = session.counters();
   std::printf("faults injected:   %llu\n",
-              static_cast<unsigned long long>(session.faults_injected()));
+              static_cast<unsigned long long>(c.faults_injected));
   std::printf("rtmp failovers:    %llu of %u RTMP viewers\n",
-              static_cast<unsigned long long>(session.rtmp_failovers()),
+              static_cast<unsigned long long>(c.rtmp_failovers),
               scfg.rtmp_viewers);
-  if (session.failover_latency_s().count() > 0)
+  if (c.failover_latency_s.count() > 0)
     std::printf("failover latency:  %.2fs mean (crash -> first HLS chunk)\n",
-                session.failover_latency_s().mean());
+                c.failover_latency_s.mean());
   std::size_t migrated_playing = 0;
   for (const auto& v : session.viewer_results())
     if (v.hls) ++migrated_playing;
   std::printf("viewers on HLS at the end: %zu (started with %u)\n",
               migrated_playing, scfg.hls_viewers);
-  if (session.rtmp_failovers() != scfg.rtmp_viewers) {
+  if (c.rtmp_failovers != scfg.rtmp_viewers) {
     std::printf("FAILOVER INCOMPLETE -- expected every RTMP viewer to "
                 "migrate\n");
     return 1;

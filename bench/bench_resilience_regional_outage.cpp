@@ -111,17 +111,17 @@ int main() {
     sim.run();
     session.finalize();
 
+    const core::SessionCounters c = session.counters();
     std::printf("edge failovers:    %llu of %u HLS viewers\n",
-                static_cast<unsigned long long>(session.edge_failovers()),
+                static_cast<unsigned long long>(c.edge_failovers),
                 scfg.hls_viewers);
     std::printf("orphaned viewers:  %llu\n",
-                static_cast<unsigned long long>(session.orphaned_viewers()));
-    if (session.edge_failover_latency_s().count() > 0)
+                static_cast<unsigned long long>(c.orphaned_viewers));
+    if (c.edge_failover_latency_s.count() > 0)
       std::printf("edge failover latency: %.2fs mean (death -> first chunk "
                   "via the new edge, second flush included)\n",
-                  session.edge_failover_latency_s().mean());
-    if (session.edge_failovers() != scfg.hls_viewers ||
-        session.orphaned_viewers() != 0) {
+                  c.edge_failover_latency_s.mean());
+    if (c.edge_failovers != scfg.hls_viewers || c.orphaned_viewers != 0) {
       std::printf("EDGE FAILOVER INCOMPLETE -- expected every HLS viewer "
                   "to re-anycast with zero orphans\n");
       return 1;
@@ -161,20 +161,15 @@ int main() {
     std::printf("scenario injected into %zu live broadcasts\n", hit);
 
     sim.run();
-    std::uint64_t failovers = 0, orphans = 0, faults = 0;
-    for (BroadcastId id : ids) {
-      core::BroadcastSession* s = service.session(id);
-      s->finalize();
-      failovers += s->edge_failovers();
-      orphans += s->orphaned_viewers();
-      faults += s->faults_injected();
-    }
+    const core::SessionCounters c = service.counters();
     std::printf("shared outage: faults=%llu edge_failovers=%llu "
                 "orphaned=%llu across %zu broadcasts\n",
-                static_cast<unsigned long long>(faults),
-                static_cast<unsigned long long>(failovers),
-                static_cast<unsigned long long>(orphans), ids.size());
-    if (hit != ids.size() || faults == 0 || failovers != 12 || orphans != 0) {
+                static_cast<unsigned long long>(c.faults_injected),
+                static_cast<unsigned long long>(c.edge_failovers),
+                static_cast<unsigned long long>(c.orphaned_viewers),
+                ids.size());
+    if (hit != ids.size() || c.faults_injected == 0 ||
+        c.edge_failovers != 12 || c.orphaned_viewers != 0) {
       std::printf("SERVICE SCENARIO INJECTION FAILED -- expected all 12 "
                   "viewers to re-anycast in every broadcast\n");
       return 1;

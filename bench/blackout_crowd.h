@@ -25,6 +25,10 @@
 
 namespace livesim::bench {
 
+/// Radii of the capacity x radius grid: 1, 6 and 7 dark edges. Each
+/// darkens a different set (3000 km would repeat the 1500 km row).
+inline constexpr double kBlackoutRadii[] = {0.0, 1500.0, 6000.0};
+
 inline analysis::FlashCrowdConfig blackout_crowd(double radius_km,
                                                  std::uint64_t edge_capacity,
                                                  bool control,

@@ -25,29 +25,14 @@ namespace {
 /// any simulated result.
 constexpr std::size_t kUnitReplicaCost = 256;
 
-/// One unit's aggregate outcome: everything the merge folds, in
-/// (channel, sub-shard) order.
-struct ChannelOutcome {
-  core::LivestreamService::CrowdDriveStats drive;
-  std::uint64_t steered_joins = 0;
-  std::uint64_t edge_failovers = 0;
-  stats::Accumulator edge_failover_latency_s;
-  std::uint64_t proactive_migrations = 0;
-  std::uint64_t orphaned_viewers = 0;
-  std::uint64_t edge_spills = 0;
-  stats::Accumulator spill_distance_km;
-  std::uint64_t overlay_assists = 0;
-  std::uint64_t control_drains = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> peak_loads;
-  std::uint64_t events_processed = 0;
-};
-
-/// ChannelOutcome plus the per-record crowd core the sub-shard merge
+/// One unit's outcome, merged in (channel, sub-shard) order: the
+/// aggregate ledgers plus the per-record crowd core the sub-shard merge
 /// rebuilds samplers and the partition-invariant fingerprint from.
 struct UnitOutcome {
-  ChannelOutcome agg;
-  /// The session's own re-attachment ledger (legacy-merge source).
-  stats::Accumulator reattach_latency_s;
+  core::LivestreamService::CrowdDriveStats drive;
+  core::SessionCounters counters;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> peak_loads;
+  std::uint64_t events_processed = 0;
   /// Per slice record: admitted (1) or late (0), in record order.
   std::vector<std::uint8_t> admitted;
   /// Per slice record: its re-attachment sample count...
@@ -112,20 +97,11 @@ UnitOutcome run_unit(const geo::DatacenterCatalog& catalog,
   sim.run();
 
   UnitOutcome out;
-  out.agg.drive = service.crowd_stats(drive);
-  out.agg.steered_joins = service.steered_joins();
+  out.drive = service.crowd_stats(drive);
+  out.counters = service.counters();
   const core::BroadcastSession* session = service.session(broadcast);
-  out.agg.edge_failovers = session->edge_failovers();
-  out.agg.edge_failover_latency_s = session->edge_failover_latency_s();
-  out.agg.proactive_migrations = session->proactive_migrations();
-  out.agg.orphaned_viewers = session->orphaned_viewers();
-  out.agg.edge_spills = session->edge_spills();
-  out.agg.spill_distance_km = session->spill_distance_km();
-  out.agg.overlay_assists = session->overlay_assists();
-  out.agg.control_drains = service.control_drains();
-  out.agg.peak_loads = session->edge_peak_loads();
-  out.agg.events_processed = sim.events_processed();
-  out.reattach_latency_s = session->reattach_latency_s();
+  out.peak_loads = session->edge_peak_loads();
+  out.events_processed = sim.events_processed();
 
   // Per-record crowd core, in record order.
   const auto handles = service.crowd_handles(drive);
@@ -289,26 +265,20 @@ FlashCrowdStats flash_crowd_experiment(const geo::DatacenterCatalog& catalog,
   std::map<std::uint64_t, std::uint64_t> peaks;  // site -> summed peak
   for (std::size_t u = 0; u < outcomes.size(); ++u) {
     const CrowdShardUnit& unit = plan.units[u];
-    const ChannelOutcome& o = outcomes[u].agg;
+    const UnitOutcome& o = outcomes[u];
     stats.joins += o.drive.joins;
     stats.late_joins += o.drive.late_joins;
     stats.leaves += o.drive.leaves;
     stats.batches += o.drive.batches;
-    if (!substreams) {
-      // Legacy merge: fold the per-unit accumulators in unit order —
-      // bit for bit the PR 8 result at sub_shards == 1.
+    // Legacy merge: fold the per-unit accumulators in unit order. Under
+    // substreams the admission and re-attachment samplers are rebuilt
+    // in record order below instead.
+    core::SessionCounters counters = o.counters;
+    if (substreams)
+      counters.reattach_latency_s = {};
+    else
       stats.admission_latency_s.merge(o.drive.admission_latency_s);
-      stats.reattach_latency_s.merge(outcomes[u].reattach_latency_s);
-    }
-    stats.steered_joins += o.steered_joins;
-    stats.edge_failovers += o.edge_failovers;
-    stats.edge_failover_latency_s.merge(o.edge_failover_latency_s);
-    stats.proactive_migrations += o.proactive_migrations;
-    stats.orphaned_viewers += o.orphaned_viewers;
-    stats.edge_spills += o.edge_spills;
-    stats.spill_distance_km.merge(o.spill_distance_km);
-    stats.overlay_assists += o.overlay_assists;
-    stats.control_drains += o.control_drains;
+    stats.merge(counters);
     stats.events_processed += o.events_processed;
     for (const auto& [site, peak] : o.peak_loads) peaks[site] += peak;
 
@@ -319,15 +289,15 @@ FlashCrowdStats flash_crowd_experiment(const geo::DatacenterCatalog& catalog,
     fp.mix(o.drive.admission_latency_s.count());
     fp.mix_double(o.drive.admission_latency_s.mean());
     fp.mix_double(o.drive.admission_latency_s.max());
-    fp.mix(o.steered_joins);
-    fp.mix(o.edge_failovers);
-    fp.mix(o.edge_failover_latency_s.count());
-    fp.mix_double(o.edge_failover_latency_s.mean());
-    fp.mix(o.proactive_migrations);
-    fp.mix(o.orphaned_viewers);
-    fp.mix(o.edge_spills);
-    fp.mix(o.overlay_assists);
-    fp.mix(o.control_drains);
+    fp.mix(o.counters.steered_joins);
+    fp.mix(o.counters.edge_failovers);
+    fp.mix(o.counters.edge_failover_latency_s.count());
+    fp.mix_double(o.counters.edge_failover_latency_s.mean());
+    fp.mix(o.counters.proactive_migrations);
+    fp.mix(o.counters.orphaned_viewers);
+    fp.mix(o.counters.edge_spills);
+    fp.mix(o.counters.overlay_assists);
+    fp.mix(o.counters.control_drains);
     fp.mix(o.events_processed);
     for (const auto& [site, peak] : o.peak_loads) {
       fp.mix(site);
@@ -338,17 +308,17 @@ FlashCrowdStats flash_crowd_experiment(const geo::DatacenterCatalog& catalog,
     // order IS that order by construction).
     const auto& slice_records = per_channel[unit.channel];
     std::size_t flat = 0;
-    for (std::size_t i = 0; i < outcomes[u].admitted.size(); ++i) {
-      const bool admitted = outcomes[u].admitted[i] != 0;
+    for (std::size_t i = 0; i < o.admitted.size(); ++i) {
+      const bool admitted = o.admitted[i] != 0;
       core_fp.mix(admitted ? 1 : 0);
       if (!admitted) continue;
       const double lat = admission_latency(slice_records[unit.begin + i]);
       core_fp.mix_double(lat);
       if (substreams) stats.admission_latency_s.add(lat);
-      const std::uint32_t n = outcomes[u].reattach_count[i];
+      const std::uint32_t n = o.reattach_count[i];
       core_fp.mix(n);
       for (std::uint32_t k = 0; k < n; ++k) {
-        const double sample = outcomes[u].reattach_flat[flat++];
+        const double sample = o.reattach_flat[flat++];
         core_fp.mix_double(sample);
         if (substreams) stats.reattach_latency_s.add(sample);
       }

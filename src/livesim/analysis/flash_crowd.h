@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "livesim/core/broadcast_session.h"
+#include "livesim/core/session_counters.h"
 #include "livesim/geo/datacenters.h"
 #include "livesim/stats/accumulator.h"
 #include "livesim/util/time.h"
@@ -147,7 +148,12 @@ struct CrowdShardPlan {
 CrowdShardPlan crowd_shard_plan(std::span<const std::size_t> channel_sizes,
                                 std::uint32_t sub_shards, unsigned workers);
 
-struct FlashCrowdStats {
+/// The merged session ledgers (SessionCounters, summed in (channel,
+/// sub-shard) unit order) plus the crowd's own outcome. Under
+/// viewer_substreams, reattach_latency_s and admission_latency_s are
+/// rebuilt with add() in global record order instead of merged, so they
+/// are bit-identical at any sub-shard count.
+struct FlashCrowdStats : core::SessionCounters {
   // Crowd consumption (summed CrowdDriveStats).
   std::uint64_t viewers = 0;  // records generated
   std::uint64_t joins = 0;
@@ -155,21 +161,6 @@ struct FlashCrowdStats {
   std::uint64_t leaves = 0;
   std::uint64_t batches = 0;
   stats::Accumulator admission_latency_s;  // max < batch_window: the pin
-  std::uint64_t steered_joins = 0;
-
-  // Storm-pressure resilience (summed session ledgers, channel order).
-  std::uint64_t edge_failovers = 0;  // wheel re-attachments forced
-  stats::Accumulator edge_failover_latency_s;
-  /// Quantize-to-next-slot delay each refugee paid re-attaching to the
-  /// new edge's poll wheel: the wheel's own component of the end-to-end
-  /// failover number above, on its own ledger.
-  stats::Accumulator reattach_latency_s;
-  std::uint64_t proactive_migrations = 0;
-  std::uint64_t orphaned_viewers = 0;
-  std::uint64_t edge_spills = 0;
-  stats::Accumulator spill_distance_km;
-  std::uint64_t overlay_assists = 0;
-  std::uint64_t control_drains = 0;
 
   /// Hottest edge site: max over sites of the summed per-unit peak
   /// attachments (the service-aggregation upper-bound semantics).

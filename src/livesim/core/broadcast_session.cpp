@@ -243,7 +243,7 @@ void BroadcastSession::on_steer(
     Viewer& v = *vp;
     if (!v.active || !v.hls || v.orphaned || v.on_mesh) continue;
     if (v.attachment.value != t.site) continue;
-    ++proactive_migrations_;
+    ++counters_.proactive_migrations;
     migrate_hls_viewer(v, t.decided_at, dark);
   }
 }
@@ -254,7 +254,7 @@ bool BroadcastSession::rescue_on_mesh(Viewer& v) {
     assist_mesh_ = std::make_unique<overlay::P2PMesh>(
         sim_, config_.control.mesh, control_->fork_rng());
   }
-  ++overlay_assists_;
+  ++counters_.overlay_assists;
   v.on_mesh = true;
   v.attachment = DatacenterId{};  // no edge holds this viewer
   v.retired.push_back({std::move(v.playback), v.tier});
@@ -410,11 +410,11 @@ void BroadcastSession::migrate_rtmp_viewer(Viewer& v, TimeUs crashed_at) {
   const EdgeSelection sel = nearest_live_edge(v.location, sim_.now());
   if (sel.dc == nullptr) {
     v.orphaned = true;
-    ++orphaned_viewers_;
+    ++counters_.orphaned_viewers;
     return;  // playback freezes; result scoring charges the missing tail
   }
 
-  ++rtmp_failovers_;
+  ++counters_.rtmp_failovers;
   v.failover_crash_at = crashed_at;
   v.failover_from_edge = false;
   v.pending_reattach = true;  // arm the wheel re-attachment measurement
@@ -472,11 +472,11 @@ void BroadcastSession::migrate_hls_viewer(
     // park the viewer there instead of freezing their playback.
     if (sel.saw_full && rescue_on_mesh(v)) return;
     v.orphaned = true;
-    ++orphaned_viewers_;
+    ++counters_.orphaned_viewers;
     return;
   }
 
-  ++edge_failovers_;
+  ++counters_.edge_failovers;
   v.failover_crash_at = died_at;
   v.failover_from_edge = true;
   v.pending_reattach = true;  // arm the wheel re-attachment measurement
@@ -527,7 +527,7 @@ void BroadcastSession::rejoin_rtmp_viewer(Viewer& v) {
   v.retired.push_back({std::move(v.playback), retired_tier});
   v.playback =
       std::make_unique<client::PlaybackSchedule>(config_.rtmp_prebuffer);
-  ++rtmp_rejoins_;
+  ++counters_.rtmp_rejoins;
 }
 
 bool BroadcastSession::edge_site_down(std::uint64_t site,
@@ -595,8 +595,8 @@ void BroadcastSession::admit_to_edge(Viewer& v, const EdgeSelection& sel) {
   v.attachment = sel.dc->id;
   edge_for(v.attachment).attach();
   if (sel.spilled) {
-    ++edge_spills_;
-    spill_distance_km_.add(sel.overshoot_km);
+    ++counters_.edge_spills;
+    counters_.spill_distance_km.add(sel.overshoot_km);
   }
 }
 
@@ -604,6 +604,13 @@ void BroadcastSession::detach_from_edge(Viewer& v) {
   // Only HLS viewers hold an edge attachment; the ledger lives on the
   // instantiated EdgeServer (attachment always instantiated one).
   if (cdn::EdgeServer* edge = find_edge(v.attachment.value)) edge->detach();
+}
+
+SessionCounters BroadcastSession::counters() const {
+  SessionCounters c = counters_;
+  if (control_) c.control_drains = control_->policy().drains();
+  for (const auto& inj : injectors_) c.faults_injected += inj->injected();
+  return c;
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
@@ -650,7 +657,7 @@ std::size_t BroadcastSession::add_viewer_tier(
     // tie-break), so fault-free runs are bit-identical.
     const EdgeSelection sel = nearest_live_edge(
         v->location, sim_.now(), {}, /*respect_capacity=*/false, steer_avoid);
-    if (sel.dc != nullptr && sel.steered) ++steered_joins_;
+    if (sel.dc != nullptr && sel.steered) ++counters_.steered_joins;
     v->attachment = sel.dc != nullptr
                         ? sel.dc->id
                         : catalog_.nearest(v->location, geo::CdnRole::kEdge).id;
@@ -748,7 +755,8 @@ void BroadcastSession::record_hls_chunk(Viewer& v, const media::Chunk& c,
     // Edge-to-edge re-anycasts and RTMP->HLS migrations keep separate
     // ledgers (different detection paths, different pre-buffer flushes).
     auto& ledger =
-        v.failover_from_edge ? edge_failover_latency_s_ : failover_latency_s_;
+        v.failover_from_edge ? counters_.edge_failover_latency_s
+                             : counters_.failover_latency_s;
     ledger.add(time::to_seconds(recv_time - v.failover_crash_at));
     v.failover_crash_at = -1;
   }
@@ -854,7 +862,7 @@ bool BroadcastSession::reload_tick(Viewer& v) {
             // reload re-fetches (last_part_seq did not advance).
             if (recv < corruption_until_ && !fresh.empty() &&
                 viewer_rng(*viewer).bernoulli(corruption_prob_)) {
-              ++corrupted_downloads_;
+              ++counters_.corrupted_downloads;
             } else {
               if (fresh.empty()) ++viewer->reload.empty_reloads;
               for (const auto& p : fresh) {
@@ -899,7 +907,8 @@ void BroadcastSession::record_llhls_part(Viewer& v, const media::Part& p,
   llhls_.last_mile_s.add(time::to_seconds(download_delay));
   if (v.failover_crash_at >= 0) {
     auto& ledger =
-        v.failover_from_edge ? edge_failover_latency_s_ : failover_latency_s_;
+        v.failover_from_edge ? counters_.edge_failover_latency_s
+                             : counters_.failover_latency_s;
     ledger.add(time::to_seconds(recv_time - v.failover_crash_at));
     v.failover_crash_at = -1;
   }
@@ -995,7 +1004,7 @@ void BroadcastSession::start_hls_polling(Viewer& v) {
   if (v.pending_reattach) {
     v.pending_reattach = false;
     const double delay_s = time::to_seconds(phase - sim_.now());
-    reattach_latency_s_.add(delay_s);
+    counters_.reattach_latency_s.add(delay_s);
     v.reattach_samples.push_back(delay_s);
   }
 
@@ -1063,7 +1072,7 @@ void BroadcastSession::deliver_hls_response(
   // on corruption).
   if (recv < corruption_until_ && !chunks.empty() &&
       viewer_rng(v).bernoulli(corruption_prob_)) {
-    ++corrupted_downloads_;
+    ++counters_.corrupted_downloads;
     set_poll_outstanding(v, false);
     return;
   }

@@ -28,6 +28,7 @@
 #include "livesim/client/retry.h"
 #include "livesim/control/health_monitor.h"
 #include "livesim/core/delay_breakdown.h"
+#include "livesim/core/session_counters.h"
 #include "livesim/fault/fault.h"
 #include "livesim/fault/injector.h"
 #include "livesim/geo/datacenters.h"
@@ -244,83 +245,27 @@ class BroadcastSession {
   /// schedule is a no-op (no injector, no RNG draws).
   void inject_faults(const fault::FaultSchedule& schedule);
 
-  /// RTMP viewers migrated to the HLS path after an ingest crash.
-  std::uint64_t rtmp_failovers() const noexcept { return rtmp_failovers_; }
-  /// Crash -> first HLS chunk on the migrated viewer's screen, seconds.
-  const stats::Accumulator& failover_latency_s() const noexcept {
-    return failover_latency_s_;
-  }
-  /// HLS viewers re-anycast to another edge after their PoP died.
-  std::uint64_t edge_failovers() const noexcept { return edge_failovers_; }
-  /// Edge death -> first chunk on screen via the new edge, seconds
-  /// (detection + re-anycast + re-anchored first chunk: the second
-  /// pipeline flush is inside this number).
-  const stats::Accumulator& edge_failover_latency_s() const noexcept {
-    return edge_failover_latency_s_;
-  }
-  /// Wheel re-attachment cost per refugee: migration decision -> the
-  /// refugee's first (quantized) poll tick on the new edge's wheel,
-  /// seconds. The quantize-to-next-slot component of the end-to-end
-  /// failover number above, scored separately (ROADMAP / PR 6 + 8
-  /// follow-up).
-  const stats::Accumulator& reattach_latency_s() const noexcept {
-    return reattach_latency_s_;
-  }
+  /// Every ledger this session keeps, with control_drains (the steering
+  /// policy's drain decisions) and faults_injected (the injectors'
+  /// dispatches) read from their sources at call time.
+  SessionCounters counters() const;
   /// One viewer's re-attachment samples in event order (empty unless it
   /// migrated). The record-order rebuild source the sub-sharded crowd
   /// merge uses so merged samplers are bit-identical at any partition.
   std::span<const double> viewer_reattach_samples(std::size_t index) const {
     return viewers_.at(index)->reattach_samples;
   }
-  /// Viewers whose failover found no live edge at all (global blackout).
-  std::uint64_t orphaned_viewers() const noexcept { return orphaned_viewers_; }
-  /// Migrated RTMP viewers that re-attached to RTMP after the ingest
-  /// restarted (rtmp_rejoin_after_restart).
-  std::uint64_t rtmp_rejoins() const noexcept { return rtmp_rejoins_; }
-  /// Failover admissions that overflowed past at least one live-but-full
-  /// edge (edge_capacity): the viewer spilled outward to a farther ring.
-  std::uint64_t edge_spills() const noexcept { return edge_spills_; }
-  /// Per spill: extra kilometres past the nearest *live* edge the viewer
-  /// was pushed to (the load-aware re-anycast overshoot).
-  const stats::Accumulator& spill_distance_km() const noexcept {
-    return spill_distance_km_;
-  }
   /// Peak concurrent attachments per edge site this session touched,
   /// sorted by site id (deterministic) — where the blackout's herd piled
   /// up.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> edge_peak_loads()
       const;
-  /// HLS downloads discarded as corrupt (client re-fetches on next poll).
-  std::uint64_t corrupted_downloads() const noexcept {
-    return corrupted_downloads_;
-  }
-  /// Faults dispatched so far (0 when every schedule is empty).
-  std::uint64_t faults_injected() const noexcept {
-    std::uint64_t n = 0;
-    for (const auto& inj : injectors_) n += inj->injected();
-    return n;
-  }
 
   // --- control plane ---
   /// The session's control plane (nullptr unless config.control.enabled).
   const control::ControlPlane* control_plane() const noexcept {
     return control_.get();
   }
-  /// Migrations the control plane started off a published-dead edge
-  /// BEFORE the viewers' own poll timeout would have noticed. Counted
-  /// when the migration starts, so with finite edge_capacity it can
-  /// exceed edge_failovers(): a started migration may end as an orphan
-  /// or a mesh rescue instead. Always <= edge_failovers() +
-  /// orphaned_viewers() + overlay_assists().
-  std::uint64_t proactive_migrations() const noexcept {
-    return proactive_migrations_;
-  }
-  /// Capacity orphans parked on the overlay mesh instead of freezing.
-  std::uint64_t overlay_assists() const noexcept { return overlay_assists_; }
-  /// Organic joins that landed somewhere OTHER than their nearest live
-  /// edge because a published drain/dead verdict (this session's own or
-  /// the service-wide union passed into add_viewer) steered them away.
-  std::uint64_t steered_joins() const noexcept { return steered_joins_; }
   /// The assist mesh (nullptr until the first rescue armed it).
   const overlay::P2PMesh* assist_mesh() const noexcept {
     return assist_mesh_.get();
@@ -571,24 +516,14 @@ class BroadcastSession {
   std::unordered_map<std::uint64_t, TimeUs> edge_down_until_;
   TimeUs corruption_until_ = 0;   // HLS downloads may corrupt before this
   double corruption_prob_ = 0.0;
-  std::uint64_t corrupted_downloads_ = 0;
-  std::uint64_t rtmp_failovers_ = 0;
-  std::uint64_t edge_failovers_ = 0;
-  std::uint64_t orphaned_viewers_ = 0;
-  std::uint64_t rtmp_rejoins_ = 0;
-  std::uint64_t edge_spills_ = 0;
-  std::uint64_t steered_joins_ = 0;
-  stats::Accumulator failover_latency_s_;
-  stats::Accumulator edge_failover_latency_s_;
-  stats::Accumulator reattach_latency_s_;
-  stats::Accumulator spill_distance_km_;
+  // The counted ledgers (control_drains and faults_injected stay zero
+  // here: counters() reads them from their sources).
+  SessionCounters counters_;
 
   // Control plane (null unless config_.control.enabled).
   std::unique_ptr<control::ControlPlane> control_;
   // Overlay-assist mesh, created lazily at the first rescue.
   std::unique_ptr<overlay::P2PMesh> assist_mesh_;
-  std::uint64_t overlay_assists_ = 0;
-  std::uint64_t proactive_migrations_ = 0;
 
   // LL-HLS state (all inert on two-tier configs).
   cdn::LlHlsParams llhls_params_;  // normalized at construction

@@ -333,52 +333,15 @@ std::size_t LivestreamService::inject_scenario(
   return ids.size();
 }
 
-std::uint64_t LivestreamService::edge_spills() const {
-  std::uint64_t total = 0;
-  for (const auto& [id, b] : broadcasts_) total += b->session->edge_spills();
-  return total;
-}
-
-stats::Accumulator LivestreamService::spill_distance_km() const {
-  // Merge in broadcast-id order so the merged accumulator (and any
-  // sampler it may grow) is independent of hash-map iteration order.
+SessionCounters LivestreamService::counters() const {
   std::vector<std::uint64_t> ids;
   ids.reserve(broadcasts_.size());
   for (const auto& [id, b] : broadcasts_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
-  stats::Accumulator out;
+  SessionCounters out;
   for (std::uint64_t id : ids)
-    out.merge(broadcasts_.at(id)->session->spill_distance_km());
+    out.merge(broadcasts_.at(id)->session->counters());
   return out;
-}
-
-std::uint64_t LivestreamService::control_drains() const {
-  std::uint64_t total = 0;
-  for (const auto& [id, b] : broadcasts_)
-    if (const auto* cp = b->session->control_plane())
-      total += cp->policy().drains();
-  return total;
-}
-
-std::uint64_t LivestreamService::proactive_migrations() const {
-  std::uint64_t total = 0;
-  for (const auto& [id, b] : broadcasts_)
-    total += b->session->proactive_migrations();
-  return total;
-}
-
-std::uint64_t LivestreamService::overlay_assists() const {
-  std::uint64_t total = 0;
-  for (const auto& [id, b] : broadcasts_)
-    total += b->session->overlay_assists();
-  return total;
-}
-
-std::uint64_t LivestreamService::steered_joins() const {
-  std::uint64_t total = 0;
-  for (const auto& [id, b] : broadcasts_)
-    total += b->session->steered_joins();
-  return total;
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>>

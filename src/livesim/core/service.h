@@ -226,40 +226,17 @@ class LivestreamService {
     return comments_rejected_;
   }
 
-  // --- capacity / spill introspection (load-aware re-anycast) ---
-  // Aggregated over every broadcast the service has started (live or
-  // ended). Capacity knobs flow in via
-  // Config::session_defaults.edge_capacity / .failover_spill_k, so a
-  // scenario injected through inject_scenario() produces the hotspot
-  // pile-ups these ledgers expose.
+  // --- session ledgers over every broadcast started (live or ended) ---
 
-  /// Failover admissions that overflowed past a live-but-full edge.
-  std::uint64_t edge_spills() const;
-  /// Extra kilometres past the nearest live edge, per spill, merged
-  /// across broadcasts in id order (deterministic).
-  stats::Accumulator spill_distance_km() const;
+  /// Every session's counters(), merged in broadcast-id order so the
+  /// merged accumulators are independent of hash-map iteration order.
+  SessionCounters counters() const;
   /// Per edge site: summed per-broadcast peak concurrent attachments,
   /// sorted by site id. An upper bound on the true simultaneous peak
   /// (per-broadcast peaks need not coincide), and exactly the hotspot
   /// ranking a blackout pile-up produces.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> edge_peak_loads()
       const;
-
-  // --- control-plane introspection (session_defaults.control.enabled) --
-  // Aggregated over every broadcast, like the spill ledgers above. All
-  // zero when the control plane is disabled.
-
-  /// Drain decisions (healthy -> draining) across all sessions.
-  std::uint64_t control_drains() const;
-  /// Viewers proactively migrated off a published-dead edge before their
-  /// own client timeout noticed.
-  std::uint64_t proactive_migrations() const;
-  /// Capacity orphans parked on the overlay-assist mesh.
-  std::uint64_t overlay_assists() const;
-  /// Organic joins routed around a published drain/dead verdict (their
-  /// nearest live edge was under an override, own-session or another
-  /// session's, so they landed farther out).
-  std::uint64_t steered_joins() const;
 
  private:
   struct Broadcast {

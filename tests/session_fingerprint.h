@@ -27,15 +27,16 @@ inline Fingerprint session_fingerprint(const core::BroadcastSession& s) {
     h.mix(v.units_played);
     h.mix(v.units_discarded);
   }
-  h.mix(s.rtmp_failovers());
-  h.mix(s.edge_failovers());
-  h.mix(s.orphaned_viewers());
-  h.mix(s.edge_spills());
-  h.mix(s.corrupted_downloads());
+  const core::SessionCounters c = s.counters();
+  h.mix(c.rtmp_failovers);
+  h.mix(c.edge_failovers);
+  h.mix(c.orphaned_viewers);
+  h.mix(c.edge_spills);
+  h.mix(c.corrupted_downloads);
   h.mix_double(s.hls_breakdown().buffering_s.mean());
   h.mix_double(s.rtmp_breakdown().buffering_s.mean());
-  h.mix_double(s.failover_latency_s().mean());
-  h.mix_double(s.edge_failover_latency_s().mean());
+  h.mix_double(c.failover_latency_s.mean());
+  h.mix_double(c.edge_failover_latency_s.mean());
   return h;
 }
 

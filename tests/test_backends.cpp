@@ -445,7 +445,7 @@ TEST(LlHlsSession, EdgeBlackoutFailsOverLlHlsViewers) {
   // The nearest edge went dark: LL-HLS viewers re-anchored (held polls
   // on the dead edge are swept, the reload chain restarts on the new
   // edge) instead of orphaning.
-  EXPECT_GT(s.edge_failovers(), 0u);
+  EXPECT_GT(s.counters().edge_failovers, 0u);
   for (const auto& v : s.viewer_results()) {
     if (v.tier != cdn::DeliveryTier::kLlHls) continue;
     EXPECT_FALSE(v.orphaned);

@@ -410,9 +410,9 @@ TEST(SessionControl, DisabledBuildsNothingAndConservesAttachments) {
   session.finalize();
 
   EXPECT_EQ(session.control_plane(), nullptr);
-  EXPECT_EQ(session.proactive_migrations(), 0u);
-  EXPECT_EQ(session.overlay_assists(), 0u);
-  EXPECT_GT(session.edge_failovers(), 0u);  // the blackout did happen
+  EXPECT_EQ(session.counters().proactive_migrations, 0u);
+  EXPECT_EQ(session.counters().overlay_assists, 0u);
+  EXPECT_GT(session.counters().edge_failovers, 0u);  // the blackout did happen
   // Attach/detach conservation across join -> death -> failover: no
   // detach ever fired against an empty ledger.
   for (const auto& [site, edge] : session.edges())
@@ -437,9 +437,9 @@ TEST(SessionControl, ProactiveMigrationBeatsClientTimeout) {
   // Scrape (<= 500 ms) + steer latency (100 ms) beat the 2 s client
   // detect window: every viewer moved proactively, none was left for
   // the reactive sweep, none orphaned.
-  EXPECT_EQ(session.proactive_migrations(), 6u);
-  EXPECT_EQ(session.edge_failovers(), 6u);
-  EXPECT_EQ(session.orphaned_viewers(), 0u);
+  EXPECT_EQ(session.counters().proactive_migrations, 6u);
+  EXPECT_EQ(session.counters().edge_failovers, 6u);
+  EXPECT_EQ(session.counters().orphaned_viewers, 0u);
   for (const auto& [site, edge] : session.edges())
     EXPECT_EQ(edge->detach_underflows(), 0u) << "site " << site;
 }
@@ -502,12 +502,12 @@ TEST(SessionControl, OverlayAssistParksCapacityOrphans) {
 
   // Six viewers flee the dead edge; two rings x capacity 1 admit two;
   // the armed mesh absorbs the other four — zero frozen players.
-  EXPECT_EQ(session.edge_failovers(), 2u);
-  EXPECT_EQ(session.overlay_assists(), 4u);
-  EXPECT_EQ(session.orphaned_viewers(), 0u);
-  EXPECT_LE(session.proactive_migrations(),
-            session.edge_failovers() + session.orphaned_viewers() +
-                session.overlay_assists());
+  const core::SessionCounters c = session.counters();
+  EXPECT_EQ(c.edge_failovers, 2u);
+  EXPECT_EQ(c.overlay_assists, 4u);
+  EXPECT_EQ(c.orphaned_viewers, 0u);
+  EXPECT_LE(c.proactive_migrations,
+            c.edge_failovers + c.orphaned_viewers + c.overlay_assists);
   ASSERT_NE(session.assist_mesh(), nullptr);
   EXPECT_EQ(session.assist_mesh()->peers(), 4u);
   EXPECT_GT(session.assist_mesh()->server_egress_chunks(), 0u);
@@ -516,9 +516,9 @@ TEST(SessionControl, OverlayAssistParksCapacityOrphans) {
   EXPECT_TRUE(cp->overlay_assist_active());
 }
 
-// proactive_migrations() counts migrations the control plane STARTED.
+// proactive_migrations counts migrations the control plane STARTED.
 // Under capacity refusals a started migration ends as an orphan instead
-// of a failover, so the count exceeds edge_failovers() but never the
+// of a failover, so the count exceeds edge_failovers but never the
 // three outcomes together.
 TEST(SessionControl, ProactiveMigrationsCountStartedNotCompleted) {
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
@@ -534,13 +534,13 @@ TEST(SessionControl, ProactiveMigrationsCountStartedNotCompleted) {
   session.finalize();
 
   // Two rings x capacity 1 admit two; the other four are refused.
-  EXPECT_EQ(session.proactive_migrations(), 6u);
-  EXPECT_EQ(session.edge_failovers(), 2u);
-  EXPECT_EQ(session.orphaned_viewers(), 4u);
-  EXPECT_GT(session.proactive_migrations(), session.edge_failovers());
-  EXPECT_LE(session.proactive_migrations(),
-            session.edge_failovers() + session.orphaned_viewers() +
-                session.overlay_assists());
+  const core::SessionCounters c = session.counters();
+  EXPECT_EQ(c.proactive_migrations, 6u);
+  EXPECT_EQ(c.edge_failovers, 2u);
+  EXPECT_EQ(c.orphaned_viewers, 4u);
+  EXPECT_GT(c.proactive_migrations, c.edge_failovers);
+  EXPECT_LE(c.proactive_migrations,
+            c.edge_failovers + c.orphaned_viewers + c.overlay_assists);
 }
 
 }  // namespace

@@ -289,7 +289,7 @@ TEST(SteeredPlacement, OrganicJoinRoutesAroundAnotherSessionsVerdict) {
   EXPECT_NE(results[handle->viewer_index].attachment.value, dead)
       << "join landed on a site another session published as dead";
   EXPECT_FALSE(results[handle->viewer_index].orphaned);
-  EXPECT_EQ(service.steered_joins(), 1u);
+  EXPECT_EQ(service.counters().steered_joins, 1u);
 }
 
 TEST(SteeredPlacement, NoControlPlaneMeansEmptyUnionAndNoSteering) {
@@ -300,7 +300,7 @@ TEST(SteeredPlacement, NoControlPlaneMeansEmptyUnionAndNoSteering) {
   ASSERT_TRUE(service.join(a, {37.77, -122.42}).has_value());
   EXPECT_TRUE(service.published_avoid().empty());
   sim.run();
-  EXPECT_EQ(service.steered_joins(), 0u);
+  EXPECT_EQ(service.counters().steered_joins, 0u);
 }
 
 // --- analysis::flash_crowd_experiment ----------------------------------

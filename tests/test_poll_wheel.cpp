@@ -560,7 +560,7 @@ TEST(StaleOutstanding, MigratedViewersResumePollingOnTheNewEdge) {
   sim.run();
   session.finalize();
 
-  ASSERT_EQ(session.edge_failovers(), cfg.hls_viewers);
+  ASSERT_EQ(session.counters().edge_failovers, cfg.hls_viewers);
   // The dead PoP dropped the in-flight polls on the floor...
   ASSERT_NE(session.edges().find(dead_site), session.edges().end());
   EXPECT_GT(session.edges().at(dead_site)->polls_dropped(), 0u);
@@ -628,7 +628,7 @@ TEST(RetryLane, TimedOutPollDemotesToBackedOffSoloAttempts) {
     session.start();
     sim.run();
     session.finalize();
-    EXPECT_EQ(session.edge_failovers(), cfg.hls_viewers);
+    EXPECT_EQ(session.counters().edge_failovers, cfg.hls_viewers);
     for (const auto& v : session.viewer_results())
       EXPECT_GT(v.units_played, 0u);
     return session.edges().at(dead_site)->polls_dropped();
@@ -668,7 +668,7 @@ TEST(RetryLane, GiveUpIsTerminalUntilFailoverRescues) {
   session.start();
   sim.run();
   session.finalize();
-  EXPECT_EQ(session.edge_failovers(), cfg.hls_viewers);
+  EXPECT_EQ(session.counters().edge_failovers, cfg.hls_viewers);
   for (const auto& v : session.viewer_results()) {
     EXPECT_FALSE(v.orphaned);
     EXPECT_GT(v.units_played, 0u);

@@ -13,6 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -111,10 +114,10 @@ TEST(NoFaultParity, SessionWithEmptyScheduleReportsNoFaultActivity) {
   session.start();
   sim.run();
   session.finalize();
-  EXPECT_EQ(session.faults_injected(), 0u);
-  EXPECT_EQ(session.rtmp_failovers(), 0u);
-  EXPECT_EQ(session.corrupted_downloads(), 0u);
-  EXPECT_TRUE(session.failover_latency_s().empty());
+  EXPECT_EQ(session.counters().faults_injected, 0u);
+  EXPECT_EQ(session.counters().rtmp_failovers, 0u);
+  EXPECT_EQ(session.counters().corrupted_downloads, 0u);
+  EXPECT_TRUE(session.counters().failover_latency_s.empty());
   for (const auto& v : session.viewer_results())
     EXPECT_GT(v.units_played, 0u);
 }
@@ -173,8 +176,8 @@ TEST(ResilienceDeterminism, FaultySessionIsReproducible) {
       h.mix_double(v.mean_buffering_s);
       h.mix(v.units_played);
     }
-    h.mix(session.rtmp_failovers());
-    h.mix_double(session.failover_latency_s().mean());
+    h.mix(session.counters().rtmp_failovers);
+    h.mix_double(session.counters().failover_latency_s.mean());
     return h.value();
   };
   EXPECT_EQ(run(), run());
@@ -197,12 +200,12 @@ TEST(Failover, IngestCrashMigratesEveryRtmpViewerViaW2f) {
   sim.run();
   session.finalize();
 
-  EXPECT_EQ(session.faults_injected(), 1u);
-  EXPECT_EQ(session.rtmp_failovers(), cfg.rtmp_viewers);
+  EXPECT_EQ(session.counters().faults_injected, 1u);
+  EXPECT_EQ(session.counters().rtmp_failovers, cfg.rtmp_viewers);
   // One latency sample per migration, measured crash -> first HLS chunk,
   // so it is at least the detect timeout.
-  ASSERT_EQ(session.failover_latency_s().count(), cfg.rtmp_viewers);
-  EXPECT_GE(session.failover_latency_s().min(),
+  ASSERT_EQ(session.counters().failover_latency_s.count(), cfg.rtmp_viewers);
+  EXPECT_GE(session.counters().failover_latency_s.min(),
             time::to_seconds(cfg.failover_detect_timeout));
 
   // Every viewer ends on the HLS path and kept playing after the crash.
@@ -233,7 +236,7 @@ TEST(Failover, MigratedViewersKeepPlayingAfterTheCrash) {
   sim.run();
   session.finalize();
 
-  ASSERT_EQ(session.rtmp_failovers(), 2u);
+  ASSERT_EQ(session.counters().rtmp_failovers, 2u);
   for (std::size_t i = 0; i < session.viewer_count(); ++i) {
     // viewer_playback is the live schedule — post-migration, the fresh
     // HLS one. It re-anchored (started) and got the rest of the stream.
@@ -373,12 +376,13 @@ TEST(Failover, EdgeDeathReanycastsEveryAttachedViewerWithZeroOrphans) {
   session.finalize();
 
   // 100% of the dead PoP's viewers re-anycast; none orphaned.
-  EXPECT_EQ(session.edge_failovers(), cfg.hls_viewers);
-  EXPECT_EQ(session.orphaned_viewers(), 0u);
+  EXPECT_EQ(session.counters().edge_failovers, cfg.hls_viewers);
+  EXPECT_EQ(session.counters().orphaned_viewers, 0u);
   // One latency sample per completed failover, >= the detect timeout
   // (detection + re-anycast + re-anchored first chunk).
-  ASSERT_EQ(session.edge_failover_latency_s().count(), cfg.hls_viewers);
-  EXPECT_GE(session.edge_failover_latency_s().min(),
+  ASSERT_EQ(session.counters().edge_failover_latency_s.count(),
+            cfg.hls_viewers);
+  EXPECT_GE(session.counters().edge_failover_latency_s.min(),
             time::to_seconds(cfg.failover_detect_timeout));
   for (const auto& v : session.viewer_results()) {
     EXPECT_FALSE(v.orphaned);
@@ -411,8 +415,8 @@ TEST(Failover, RegionalBlackoutOfEveryEdgeOrphansViewers) {
   sim.run();
   session.finalize();
 
-  EXPECT_EQ(session.edge_failovers(), 0u);
-  EXPECT_EQ(session.orphaned_viewers(), cfg.hls_viewers);
+  EXPECT_EQ(session.counters().edge_failovers, 0u);
+  EXPECT_EQ(session.counters().orphaned_viewers, cfg.hls_viewers);
   std::size_t orphaned = 0;
   for (const auto& v : session.viewer_results())
     if (v.orphaned) ++orphaned;
@@ -439,8 +443,8 @@ TEST(Failover, RtmpViewersRejoinRtmpAfterIngestRestart) {
 
   // Crash -> every RTMP viewer migrates to HLS; restart -> every one of
   // them re-attaches to RTMP (the second pipeline flush).
-  EXPECT_EQ(session.rtmp_failovers(), cfg.rtmp_viewers);
-  EXPECT_EQ(session.rtmp_rejoins(), cfg.rtmp_viewers);
+  EXPECT_EQ(session.counters().rtmp_failovers, cfg.rtmp_viewers);
+  EXPECT_EQ(session.counters().rtmp_rejoins, cfg.rtmp_viewers);
   std::size_t back_on_rtmp = 0;
   for (const auto& v : session.viewer_results()) {
     if (!v.hls) ++back_on_rtmp;
@@ -470,7 +474,7 @@ TEST(Failover, RejoinDefaultsOffSoMigratedViewersStayOnHls) {
   session.start();
   sim.run();
   session.finalize();
-  EXPECT_EQ(session.rtmp_rejoins(), 0u);
+  EXPECT_EQ(session.counters().rtmp_rejoins, 0u);
   for (const auto& v : session.viewer_results()) EXPECT_TRUE(v.hls);
 }
 
@@ -503,7 +507,7 @@ TEST(NoFaultParity, EmptyScenarioInjectionIsBitIdenticalToCleanSession) {
       h.mix(v.units_played);
       h.mix(v.units_discarded);
     }
-    h.mix(session.faults_injected());
+    h.mix(session.counters().faults_injected);
     h.mix_double(session.hls_breakdown().buffering_s.mean());
     h.mix_double(session.rtmp_breakdown().buffering_s.mean());
     return h.value();
@@ -545,9 +549,9 @@ TEST(ScenarioInjection, ServiceSharesOneOutageAcrossLiveBroadcasts) {
     core::BroadcastSession* s = service.session(id);
     ASSERT_NE(s, nullptr);
     s->finalize();
-    EXPECT_GT(s->faults_injected(), 0u);
-    failovers += s->edge_failovers();
-    orphans += s->orphaned_viewers();
+    EXPECT_GT(s->counters().faults_injected, 0u);
+    failovers += s->counters().edge_failovers;
+    orphans += s->counters().orphaned_viewers;
   }
   // One shared outage: every broadcast's two viewers re-anycast.
   EXPECT_EQ(failovers, 6u);
@@ -585,13 +589,13 @@ TEST(CapacitySpill, SessionSpillsRingByRingPastFullEdges) {
   sim.run();
   session.finalize();
 
-  EXPECT_EQ(session.edge_failovers(), cfg.hls_viewers);
-  EXPECT_EQ(session.orphaned_viewers(), 0u);
-  EXPECT_EQ(session.edge_spills(), 4u);
-  ASSERT_EQ(session.spill_distance_km().count(), 4u);
+  EXPECT_EQ(session.counters().edge_failovers, cfg.hls_viewers);
+  EXPECT_EQ(session.counters().orphaned_viewers, 0u);
+  EXPECT_EQ(session.counters().edge_spills, 4u);
+  ASSERT_EQ(session.counters().spill_distance_km.count(), 4u);
   // No live edge is co-located with the dead SF PoP, so every spill
   // overshoots a real distance.
-  EXPECT_GT(session.spill_distance_km().min(), 0.0);
+  EXPECT_GT(session.counters().spill_distance_km.min(), 0.0);
 
   // Capacity held: at most two admissions per live edge, and the dead
   // site kept nobody.
@@ -636,9 +640,9 @@ TEST(CapacitySpill, UnboundedCapacityNeverSpills) {
   sim.run();
   session.finalize();
 
-  EXPECT_EQ(session.edge_failovers(), cfg.hls_viewers);
-  EXPECT_EQ(session.edge_spills(), 0u);
-  EXPECT_TRUE(session.spill_distance_km().empty());
+  EXPECT_EQ(session.counters().edge_failovers, cfg.hls_viewers);
+  EXPECT_EQ(session.counters().edge_spills, 0u);
+  EXPECT_TRUE(session.counters().spill_distance_km.empty());
   // Everyone piles onto the single nearest live edge.
   std::unordered_map<std::uint64_t, unsigned> admitted;
   for (const auto& v : session.viewer_results())
@@ -685,12 +689,126 @@ TEST(CapacitySpill, FlappingPoPIsExcludedFromItsOwnFailover) {
 
   // Exactly ONE failover per viewer: nobody bounced back to the flapping
   // PoP only to be re-killed by blackout B.
-  EXPECT_EQ(session.edge_failovers(), cfg.hls_viewers);
-  EXPECT_EQ(session.orphaned_viewers(), 0u);
+  EXPECT_EQ(session.counters().edge_failovers, cfg.hls_viewers);
+  EXPECT_EQ(session.counters().orphaned_viewers, 0u);
   for (const auto& v : session.viewer_results()) {
     EXPECT_FALSE(v.orphaned);
     EXPECT_NE(v.attachment.value, flapping_site);
   }
+}
+
+// --- SessionCounters: one visitor, one merge ----------------------------
+
+/// A ledger split by field kind, in declaration order.
+struct LedgerFields {
+  std::vector<std::string> names;
+  std::vector<std::uint64_t> counts;
+  std::vector<stats::Accumulator> accumulators;
+};
+
+LedgerFields ledger_fields(const core::SessionCounters& c) {
+  LedgerFields out;
+  c.for_each_field([&out](const char* name, const auto& v) {
+    out.names.emplace_back(name);
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                 stats::Accumulator>)
+      out.accumulators.push_back(v);
+    else
+      out.counts.push_back(v);
+  });
+  return out;
+}
+
+/// Every field as 64-bit words (accumulators as count plus the bit
+/// patterns of mean, variance, min and max): equal words, equal ledgers.
+std::vector<std::uint64_t> ledger_words(const core::SessionCounters& c) {
+  const LedgerFields f = ledger_fields(c);
+  std::vector<std::uint64_t> out = f.counts;
+  for (const stats::Accumulator& a : f.accumulators)
+    for (std::uint64_t w : {a.count(), std::bit_cast<std::uint64_t>(a.mean()),
+                            std::bit_cast<std::uint64_t>(a.variance()),
+                            std::bit_cast<std::uint64_t>(a.min()),
+                            std::bit_cast<std::uint64_t>(a.max())})
+      out.push_back(w);
+  return out;
+}
+
+/// Field k (1-based, declaration order) holds base + k: a counter as its
+/// value, an accumulator as the samples base + k and 2 * base + k.
+core::SessionCounters numbered_ledger(std::uint64_t base) {
+  core::SessionCounters c;
+  std::uint64_t k = 0;
+  c.for_each_field([&](const char*, auto& v) {
+    ++k;
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                 stats::Accumulator>) {
+      v.add(static_cast<double>(base + k));
+      v.add(static_cast<double>(2 * base + k));
+    } else {
+      v = base + k;
+    }
+  });
+  return c;
+}
+
+TEST(SessionCounters, ForEachFieldVisitsEveryFieldOnce) {
+  const core::SessionCounters c = numbered_ledger(0);
+  const LedgerFields f = ledger_fields(c);
+  const std::vector<std::string> expected = {
+      "rtmp_failovers",          "edge_failovers",
+      "orphaned_viewers",        "rtmp_rejoins",
+      "edge_spills",             "steered_joins",
+      "corrupted_downloads",     "proactive_migrations",
+      "overlay_assists",         "failover_latency_s",
+      "edge_failover_latency_s", "reattach_latency_s",
+      "spill_distance_km",       "control_drains",
+      "faults_injected"};
+  EXPECT_EQ(f.names, expected);
+  // Each named member received exactly the number of its visit.
+  EXPECT_EQ(c.rtmp_failovers, 1u);
+  EXPECT_EQ(c.edge_failovers, 2u);
+  EXPECT_EQ(c.orphaned_viewers, 3u);
+  EXPECT_EQ(c.rtmp_rejoins, 4u);
+  EXPECT_EQ(c.edge_spills, 5u);
+  EXPECT_EQ(c.steered_joins, 6u);
+  EXPECT_EQ(c.corrupted_downloads, 7u);
+  EXPECT_EQ(c.proactive_migrations, 8u);
+  EXPECT_EQ(c.overlay_assists, 9u);
+  EXPECT_EQ(c.failover_latency_s.min(), 10.0);
+  EXPECT_EQ(c.edge_failover_latency_s.min(), 11.0);
+  EXPECT_EQ(c.reattach_latency_s.min(), 12.0);
+  EXPECT_EQ(c.spill_distance_km.min(), 13.0);
+  EXPECT_EQ(c.control_drains, 14u);
+  EXPECT_EQ(c.faults_injected, 15u);
+}
+
+TEST(SessionCounters, MergeIsFieldWiseSumAndAccumulatorMerge) {
+  const core::SessionCounters a = numbered_ledger(100);
+  const core::SessionCounters b = numbered_ledger(1000);
+  core::SessionCounters m = a;
+  m.merge(b);
+  const LedgerFields fa = ledger_fields(a), fb = ledger_fields(b),
+                     fm = ledger_fields(m);
+  ASSERT_EQ(fm.counts.size(), 11u);
+  for (std::size_t i = 0; i < fm.counts.size(); ++i)
+    EXPECT_EQ(fm.counts[i], fa.counts[i] + fb.counts[i]) << fm.names[i];
+  ASSERT_EQ(fm.accumulators.size(), 4u);
+  for (std::size_t i = 0; i < fm.accumulators.size(); ++i) {
+    stats::Accumulator e = fa.accumulators[i];
+    e.merge(fb.accumulators[i]);
+    const stats::Accumulator& got = fm.accumulators[i];
+    EXPECT_EQ(got.count(), e.count());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean()),
+              std::bit_cast<std::uint64_t>(e.mean()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.variance()),
+              std::bit_cast<std::uint64_t>(e.variance()));
+    EXPECT_EQ(got.min(), e.min());
+    EXPECT_EQ(got.max(), e.max());
+  }
+  // Merging an empty ledger changes nothing.
+  core::SessionCounters same = a;
+  same.merge(core::SessionCounters{});
+  EXPECT_EQ(ledger_words(same), ledger_words(a));
 }
 
 // Service-level wiring: inject_scenario + session_defaults.edge_capacity
@@ -711,7 +829,7 @@ TEST(CapacitySpill, ServiceAggregatesSpillLedgersAcrossBroadcasts) {
     ids.push_back(service.start_broadcast(sf, 60 * time::kSecond));
     for (int v = 0; v < 2; ++v) ASSERT_TRUE(service.join(ids.back(), sf));
   }
-  ASSERT_EQ(service.edge_spills(), 0u);  // joins are load-blind
+  ASSERT_EQ(service.counters().edge_spills, 0u);  // joins are load-blind
 
   fault::RegionalBlackoutSpec spec;
   spec.at = 20 * time::kSecond;
@@ -728,15 +846,23 @@ TEST(CapacitySpill, ServiceAggregatesSpillLedgersAcrossBroadcasts) {
     core::BroadcastSession* s = service.session(id);
     ASSERT_NE(s, nullptr);
     s->finalize();
-    failovers += s->edge_failovers();
+    failovers += s->counters().edge_failovers;
     // Capacity 1 per session: one viewer takes the nearest live edge,
     // the other spills past it.
-    EXPECT_EQ(s->edge_spills(), 1u);
+    EXPECT_EQ(s->counters().edge_spills, 1u);
   }
   EXPECT_EQ(failovers, 6u);
-  EXPECT_EQ(service.edge_spills(), 3u);
-  EXPECT_EQ(service.spill_distance_km().count(), 3u);
-  EXPECT_GT(service.spill_distance_km().min(), 0.0);
+  const core::SessionCounters total = service.counters();
+  EXPECT_EQ(total.edge_spills, 3u);
+  EXPECT_EQ(total.spill_distance_km.count(), 3u);
+  EXPECT_GT(total.spill_distance_km.min(), 0.0);
+  // The service ledger is exactly its sessions' ledgers merged in
+  // broadcast-id order (ids are handed out in start order), bit for bit.
+  core::SessionCounters merged;
+  for (BroadcastId id : ids) merged.merge(service.session(id)->counters());
+  EXPECT_EQ(ledger_words(total), ledger_words(merged));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(total.spill_distance_km.mean()),
+            std::bit_cast<std::uint64_t>(merged.spill_distance_km.mean()));
   // Aggregated hotspot ledger: the dead SF site summed its three
   // per-broadcast peaks of two joins each.
   const std::uint64_t dead_site =
@@ -799,7 +925,7 @@ TEST(Failover, CorruptionWindowCountsDiscardedDownloads) {
   session.start();
   sim.run();
   session.finalize();
-  EXPECT_GT(session.corrupted_downloads(), 0u);
+  EXPECT_GT(session.counters().corrupted_downloads, 0u);
   // Corruption discards downloads but viewers still re-poll and play.
   for (const auto& v : session.viewer_results())
     EXPECT_GT(v.units_played, 0u);

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <utility>
+#include <vector>
 #include <unordered_set>
 
 #include "livesim/stats/csv.h"
 #include "livesim/util/fingerprint.h"
 #include "livesim/util/ids.h"
+#include "livesim/util/json_writer.h"
 #include "livesim/util/time.h"
 
 namespace livesim {
@@ -119,6 +125,107 @@ TEST(Csv, WritesToDirectory) {
   EXPECT_EQ(line, "a,b");
   std::getline(in, line);
   EXPECT_EQ(line, "1.5,2.5");
+}
+
+// The layout every BENCH_*.json file shares: root members and elements of
+// arrays of containers on their own lines, everything else inline.
+TEST(JsonWriter, GoldenLayoutEscapesAndNumberFormats) {
+  JsonWriter w;
+  w.begin_object()
+      .field("name", "a\"b\\c\nd\x01")
+      .field("u64", std::uint64_t{18446744073709551615ULL})
+      .field("neg", -3)
+      .field("ok", true)
+      .field("r0", 120.4, 0)
+      .field("r3", 2.0 / 3.0, 3)
+      .field("r6", 0.25, 6)
+      .field("nan", std::nan(""), 1)
+      .field("fp", JsonWriter::hex(0xabcULL))
+      .key("inline")
+      .begin_object()
+      .key("xs")
+      .begin_array()
+      .value(1)
+      .value(2.5, 2)
+      .end_array()
+      .field("empty", "")
+      .end_object()
+      .key("rows")
+      .begin_array()
+      .begin_object()
+      .field("a", 1)
+      .end_object()
+      .begin_object()
+      .field("a", 2)
+      .end_object()
+      .end_array()
+      .key("none")
+      .begin_array()
+      .end_array()
+      .end_object();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"name\": \"a\\\"b\\\\c\\u000ad\\u0001\",\n"
+            "  \"u64\": 18446744073709551615,\n"
+            "  \"neg\": -3,\n"
+            "  \"ok\": true,\n"
+            "  \"r0\": 120,\n"
+            "  \"r3\": 0.667,\n"
+            "  \"r6\": 0.250000,\n"
+            "  \"nan\": null,\n"
+            "  \"fp\": \"0000000000000abc\",\n"
+            "  \"inline\": {\"xs\": [1, 2.50], \"empty\": \"\"},\n"
+            "  \"rows\": [\n"
+            "    {\"a\": 1},\n"
+            "    {\"a\": 2}\n"
+            "  ],\n"
+            "  \"none\": []\n"
+            "}\n");
+}
+
+TEST(JsonWriter, DeterminismBlockComparesEveryFingerprint) {
+  const std::vector<std::pair<unsigned, std::uint64_t>> same = {{1, 7}, {8, 7}};
+  const std::vector<std::pair<unsigned, std::uint64_t>> differ = {{1, 7},
+                                                                  {2, 9}};
+  JsonWriter a;
+  a.begin_object();
+  write_determinism(a, same);
+  a.end_object();
+  EXPECT_EQ(a.str(),
+            "{\n  \"determinism\": {\"threads\": [1, 8], \"fingerprints\": "
+            "[\"0000000000000007\", \"0000000000000007\"], \"identical\": "
+            "true}\n}\n");
+  JsonWriter b;
+  b.begin_object();
+  write_determinism(b, differ);
+  b.end_object();
+  EXPECT_NE(b.str().find("\"identical\": false"), std::string::npos);
+}
+
+TEST(JsonWriter, SaveWritesTheDocument) {
+  JsonWriter w;
+  w.begin_object().field("a", 1).end_object();
+  const char* path = "/tmp/livesim_json_writer_test.json";
+  ASSERT_TRUE(w.save(path));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), w.str());
+  std::remove(path);
+}
+
+// A failed open or a failed closing flush must be reported, never leave a
+// truncated file behind an exit code of 0.
+TEST(JsonWriter, SaveReportsOpenAndFlushFailure) {
+  JsonWriter w;
+  w.begin_object().field("a", 1).end_object();
+  EXPECT_FALSE(w.save("/nonexistent-livesim-dir/out.json"));
+  if (std::FILE* f = std::fopen("/dev/full", "w")) {
+    std::fclose(f);
+    EXPECT_FALSE(w.save("/dev/full"));  // ENOSPC surfaces at fclose
+  } else {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
 }
 
 }  // namespace
