@@ -68,7 +68,7 @@ TreeRun run_tree(std::uint32_t viewers, std::uint64_t seed) {
   geo::UserGeoSampler sampler;
   for (std::uint32_t i = 0; i < viewers; ++i) {
     tree.join(sampler.sample(rng),
-              [&delay](const media::VideoFrame& f, TimeUs at) {
+              [&delay](const media::FrameHeader& f, TimeUs at) {
                 delay.add(time::to_seconds(at - f.capture_ts));
               });
   }

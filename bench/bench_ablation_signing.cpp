@@ -22,7 +22,7 @@ std::vector<media::VideoFrame> capture(int n) {
   Rng payload(2);
   std::vector<media::VideoFrame> frames;
   for (int i = 0; i < n; ++i) {
-    auto f = src.next();
+    media::VideoFrame f = src.next();
     f.payload.resize(f.size_bytes);
     for (auto& b : f.payload) b = static_cast<std::uint8_t>(payload.next_u64());
     frames.push_back(std::move(f));

@@ -90,7 +90,7 @@ BENCHMARK(BM_WotsVerify);
 
 void BM_RtmpCodecRoundTrip(benchmark::State& state) {
   media::FrameSource src({}, Rng(1));
-  auto frame = src.next();
+  media::VideoFrame frame = src.next();
   frame.payload.assign(frame.size_bytes, 0x5C);
   for (auto _ : state) {
     const auto wire = protocol::frame_to_wire(frame);
@@ -115,7 +115,7 @@ void BM_StreamSignerPerFrame(benchmark::State& state) {
   media::FrameSource src({}, Rng(1));
   std::vector<media::VideoFrame> frames;
   for (int i = 0; i < 250; ++i) {
-    auto f = src.next();
+    media::VideoFrame f = src.next();
     f.payload.assign(f.size_bytes, 0x11);
     frames.push_back(std::move(f));
   }

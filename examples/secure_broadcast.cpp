@@ -20,7 +20,7 @@ std::vector<media::VideoFrame> record_broadcast(int seconds) {
   Rng pixels(8);
   std::vector<media::VideoFrame> frames;
   for (int i = 0; i < seconds * 25; ++i) {
-    auto f = camera.next();
+    media::VideoFrame f = camera.next();
     f.payload.resize(f.size_bytes);
     for (auto& b : f.payload) b = static_cast<std::uint8_t>(pixels.next_u64());
     frames.push_back(std::move(f));

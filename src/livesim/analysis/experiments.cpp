@@ -59,21 +59,35 @@ BroadcastTrace simulate_one_trace(const TraceSetConfig& config,
   trace.frame_interval = source.params().frame_interval;
   trace.frame_arrivals.resize(frames, 0);
 
+  // The per-frame closures hold one pointer to this and a frame header,
+  // so neither leaves the inline budget.
+  struct Pipeline {
+    net::FifoUplink& uplink;
+    media::Chunker& chunker;
+    BroadcastTrace& trace;
+  } pipe{uplink, chunker, trace};
+
   // Connect handshake ahead of frame 1 (see BroadcastSession::start).
   uplink.send(4096, [](TimeUs) {});
   for (std::uint64_t i = 0; i < frames; ++i) {
-    media::VideoFrame f = source.next(0);
-    sim.schedule_at(
-        f.capture_ts + trace.frame_interval, [&, f]() mutable {
-          uplink.send(f.size_bytes + 64, [&trace, &chunker, f](TimeUs at) {
-            trace.frame_arrivals[f.seq] = at;
-            if (auto sealed = chunker.push(f, at)) {
-              trace.chunks.push_back({sealed->completed_ts,
-                                      sealed->first_capture_ts,
-                                      sealed->duration, sealed->size_bytes});
-            }
-          });
-        });
+    const media::FrameHeader f = source.next(0);
+    auto capture = [p = &pipe, f] {
+      auto arrive = [p, f](TimeUs at) {
+        p->trace.frame_arrivals[f.seq] = at;
+        if (auto sealed = p->chunker.push(f, at)) {
+          p->trace.chunks.push_back({sealed->completed_ts,
+                                     sealed->first_capture_ts,
+                                     sealed->duration, sealed->size_bytes});
+        }
+      };
+      static_assert(
+          net::FifoUplink::ArrivalFn::fits_inline<decltype(arrive)>(),
+          "a trace frame's arrival must not box");
+      p->uplink.send(f.size_bytes + 64, std::move(arrive));
+    };
+    static_assert(sim::EventFn::fits_inline<decltype(capture)>(),
+                  "a trace frame's capture must not box");
+    sim.schedule_at(f.capture_ts + trace.frame_interval, std::move(capture));
   }
   sim.run();
   if (auto sealed = chunker.flush(sim.now())) {

@@ -4,7 +4,7 @@
 
 namespace livesim::cdn {
 
-void IngestServer::on_frame(const media::VideoFrame& frame) {
+void IngestServer::on_frame(const media::FrameHeader& frame) {
   if (down_) {
     // Crashed server: the frame hit a dead socket and is gone.
     ++frames_dropped_;
@@ -44,7 +44,7 @@ void IngestServer::emit_chunk(const media::Chunk& c) {
   if (chunk_listener_) chunk_listener_(c);
 }
 
-void IngestServer::accumulate_part(const media::VideoFrame& frame,
+void IngestServer::accumulate_part(const media::FrameHeader& frame,
                                    TimeUs now) {
   if (!part_open_) {
     part_open_ = true;

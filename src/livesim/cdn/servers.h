@@ -31,7 +31,7 @@ namespace livesim::cdn {
 class IngestServer {
  public:
   /// (frame, arrival time at ingest) -> deliver to one RTMP viewer.
-  using FrameSink = std::function<void(const media::VideoFrame&, TimeUs)>;
+  using FrameSink = std::function<void(const media::FrameHeader&, TimeUs)>;
   /// Sealed chunk ready at the ingest -> notify edges / recorders.
   using ChunkSink = std::function<void(const media::Chunk&)>;
   /// Sealed LL-HLS partial segment -> notify edges.
@@ -43,7 +43,7 @@ class IngestServer {
       : sim_(sim), site_(site), chunker_(chunker_params), cpu_(resources) {}
 
   /// Frame arrived over the broadcaster's uplink.
-  void on_frame(const media::VideoFrame& frame);
+  void on_frame(const media::FrameHeader& frame);
 
   /// End of broadcast: seals any partial chunk.
   void on_end_of_stream();
@@ -99,7 +99,7 @@ class IngestServer {
 
  private:
   void emit_chunk(const media::Chunk& c);
-  void accumulate_part(const media::VideoFrame& frame, TimeUs now);
+  void accumulate_part(const media::FrameHeader& frame, TimeUs now);
   void flush_part(TimeUs now);
 
   sim::Simulator& sim_;

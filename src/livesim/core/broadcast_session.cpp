@@ -128,24 +128,38 @@ void BroadcastSession::start() {
           uplink_->send(128, [this](TimeUs) { ingest_->on_end_of_stream(); });
           return;
         }
-        media::VideoFrame f = source_->next(start_time_);
-        const std::size_t bytes = f.size_bytes + kFrameHeaderBytes;
-        uplink_->send(bytes, [this, f = std::move(f)](TimeUs arrival) {
-          if (f.keyframe) keyframe_arrival_.emplace(f.seq, arrival);
+        const media::FrameHeader f = source_->next(start_time_);
+        auto deliver = [this, f](TimeUs arrival) {
+          if (f.keyframe) {
+            // FrameSource keys exactly the frames with seq % gop == 0.
+            const std::uint64_t k = f.seq / source_->params().gop_frames;
+            if (k >= keyframe_arrival_.size())
+              keyframe_arrival_.resize(k + 1, -1);
+            keyframe_arrival_[k] = arrival;
+          }
           const double up = time::to_seconds(arrival - f.capture_ts);
           rtmp_.upload_s.add(up);
           ingest_->on_frame(f);
-        });
+        };
+        static_assert(
+            net::FifoUplink::ArrivalFn::fits_inline<decltype(deliver)>(),
+            "the uplink closure must not box");
+        uplink_->send(f.size_bytes + kFrameHeaderBytes, std::move(deliver));
       });
 
   // Chunk bookkeeping + edge expiry fan-out.
   ingest_->set_chunk_listener([this](const media::Chunk& c) {
-    chunk_completed_.emplace(c.seq, c.completed_ts);
-    // Per-chunk upload & chunking components (Figure 10: 6->7 via 5).
-    if (auto it = keyframe_arrival_.find(c.first_frame_seq);
-        it != keyframe_arrival_.end()) {
-      hls_.upload_s.add(time::to_seconds(it->second - c.first_capture_ts));
-      hls_.chunking_s.add(time::to_seconds(c.completed_ts - it->second));
+    // Chunker::seal numbers chunks 0, 1, 2, ... in seal order.
+    chunk_completed_.push_back(c.completed_ts);
+    // Per-chunk upload & chunking components (Figure 10: 6->7 via 5),
+    // only for a chunk that opens on a keyframe which arrived.
+    const std::uint32_t gop = source_->params().gop_frames;
+    const std::uint64_t k = c.first_frame_seq / gop;
+    if (c.first_frame_seq % gop == 0 && k < keyframe_arrival_.size() &&
+        keyframe_arrival_[k] >= 0) {
+      const TimeUs arrival = keyframe_arrival_[k];
+      hls_.upload_s.add(time::to_seconds(arrival - c.first_capture_ts));
+      hls_.chunking_s.add(time::to_seconds(c.completed_ts - arrival));
     }
     for (auto& [site, edge] : edges_) {
       const double km = catalog_.distance_km(ingest_site_, DatacenterId{site});
@@ -436,11 +450,11 @@ void BroadcastSession::migrate_rtmp_viewer(Viewer& v, TimeUs crashed_at) {
 
   // Resume from the live edge of the stream: replaying chunks the viewer
   // already watched over RTMP would only register as stalls.
-  std::int64_t last = -1;
-  for (const auto& [seq, at] : chunk_completed_)
-    if (at <= crashed_at && static_cast<std::int64_t>(seq) > last)
-      last = static_cast<std::int64_t>(seq);
-  v.last_seq = last;
+  // Completion times rise with the seq, so the chunks done by the crash
+  // are a prefix of the ledger.
+  const auto done = std::upper_bound(chunk_completed_.begin(),
+                                     chunk_completed_.end(), crashed_at);
+  v.last_seq = static_cast<std::int64_t>(done - chunk_completed_.begin()) - 1;
   start_hls_polling(v);
 }
 
@@ -707,18 +721,21 @@ DelayBreakdown& BroadcastSession::breakdown_for(
 void BroadcastSession::attach_rtmp_viewer(Viewer& v) {
   auto* viewer = &v;
   ingest_->add_rtmp_subscriber(
-      [this, viewer](const media::VideoFrame& f, TimeUs at_ingest) {
+      [this, viewer](const media::FrameHeader& f, TimeUs at_ingest) {
         // Skip if the viewer left (connection torn down) or failed over to
         // HLS after an ingest crash (the old subscription is dead).
         if (!viewer->active || viewer->hls) return;
         const DurationUs d =
             viewer->link->sample_delay(f.size_bytes + kFrameHeaderBytes);
-        sim_.schedule_in(d, [this, viewer, f, at_ingest, d] {
+        auto push = [this, viewer, capture_ts = f.capture_ts,
+                     duration = f.duration, arrival = at_ingest + d, d] {
           if (!viewer->active || viewer->hls) return;
           rtmp_.last_mile_s.add(time::to_seconds(d));
-          viewer->playback->on_arrival(at_ingest + d, f.capture_ts,
-                                       f.duration);
-        });
+          viewer->playback->on_arrival(arrival, capture_ts, duration);
+        };
+        static_assert(sim::EventFn::fits_inline<decltype(push)>(),
+                      "the RTMP push must not box");
+        sim_.schedule_in(d, std::move(push));
       });
 }
 

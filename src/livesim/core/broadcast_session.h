@@ -277,9 +277,10 @@ class BroadcastSession {
     return edges_;
   }
 
-  /// Chunk completion times at the ingest, by chunk seq (Fig 15 numerator).
-  const std::unordered_map<std::uint64_t, TimeUs>& chunk_completed_at()
-      const noexcept {
+  /// Chunk completion times at the ingest, indexed by chunk seq (Fig 15
+  /// numerator). Seqs count up from 0, so the span covers every chunk
+  /// sealed so far.
+  std::span<const TimeUs> chunk_completed_at() const noexcept {
     return chunk_completed_;
   }
 
@@ -534,8 +535,10 @@ class BroadcastSession {
   DelayBreakdown rtmp_;
   DelayBreakdown hls_;
   DelayBreakdown llhls_;
-  std::unordered_map<std::uint64_t, TimeUs> keyframe_arrival_;  // frame seq
-  std::unordered_map<std::uint64_t, TimeUs> chunk_completed_;   // chunk seq
+  // Ingest arrival by keyframe number (frame seq / gop_frames; -1: not
+  // arrived), and seal time by chunk seq.
+  std::vector<TimeUs> keyframe_arrival_;
+  std::vector<TimeUs> chunk_completed_;
   std::vector<ChunkJourney> journeys_;
   // Free list of chunk buffers carried by in-flight poll response legs.
   std::vector<std::vector<media::Chunk>> chunk_buffers_;

@@ -2,7 +2,7 @@
 
 namespace livesim::media {
 
-std::optional<Chunk> Chunker::push(const VideoFrame& frame, TimeUs now) {
+std::optional<Chunk> Chunker::push(const FrameHeader& frame, TimeUs now) {
   std::optional<Chunk> sealed;
   // Seal-before-append: a keyframe arriving once the target is met starts
   // the next chunk, so chunk boundaries land on keyframes.

@@ -32,7 +32,7 @@ class Chunker {
   /// Feeds one frame arriving at time `now`; returns the sealed chunk when
   /// this frame completed one, else nullopt. The sealed chunk's
   /// completed_ts is `now`.
-  std::optional<Chunk> push(const VideoFrame& frame, TimeUs now);
+  std::optional<Chunk> push(const FrameHeader& frame, TimeUs now);
 
   /// Seals whatever is pending (end of broadcast). Returns nullopt if the
   /// accumulator is empty.

@@ -5,8 +5,8 @@
 
 namespace livesim::media {
 
-VideoFrame FrameSource::next(TimeUs start) {
-  VideoFrame f;
+FrameHeader FrameSource::next(TimeUs start) {
+  FrameHeader f;
   f.seq = next_seq_++;
   f.capture_ts = start + static_cast<TimeUs>(f.seq) * params_.frame_interval;
   f.duration = params_.frame_interval;

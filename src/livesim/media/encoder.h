@@ -29,7 +29,7 @@ class FrameSource {
 
   /// Produces the next frame; capture timestamps advance by exactly one
   /// frame interval per call, starting at `start`.
-  VideoFrame next(TimeUs start = 0);
+  FrameHeader next(TimeUs start = 0);
 
   const Params& params() const noexcept { return params_; }
 

@@ -6,18 +6,34 @@
 #define LIVESIM_MEDIA_FRAME_H
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "livesim/util/time.h"
 
 namespace livesim::media {
 
-struct VideoFrame {
+/// What the delay simulations need of a frame: a fixed, trivially
+/// copyable header. Per-frame closures capture it by value without
+/// leaving the engine's inline budget; the bytes, when a path needs
+/// them, ride in VideoFrame.
+struct FrameHeader {
   std::uint64_t seq = 0;
   TimeUs capture_ts = 0;        // stamped by the broadcaster device
   DurationUs duration = 40 * time::kMillisecond;
   std::uint32_t size_bytes = 0;
   bool keyframe = false;
+};
+static_assert(std::is_trivially_copyable_v<FrameHeader> &&
+                  sizeof(FrameHeader) == 32,
+              "FrameHeader is captured by value in per-frame closures");
+
+/// A frame with its bytes: the byte-level (security, RTMP wire) paths.
+struct VideoFrame : FrameHeader {
+  VideoFrame() = default;
+  /// A header (e.g. FrameSource::next()) becomes a frame with no bytes yet.
+  VideoFrame(const FrameHeader& h)  // NOLINT(google-explicit-constructor)
+      : FrameHeader(h) {}
 
   /// Optional payload bytes; populated only on the byte-level (security)
   /// code paths to keep the large-scale delay simulations lean.

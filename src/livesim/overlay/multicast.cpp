@@ -216,7 +216,7 @@ void MulticastTree::leave(std::uint64_t viewer_id) {
 }
 
 void MulticastTree::deliver_down(DatacenterId site,
-                                 const media::VideoFrame& frame, TimeUs at) {
+                                 const media::FrameHeader& frame, TimeUs at) {
   auto it = nodes_.find(site.value);
   if (it == nodes_.end()) return;
   Node& node = it->second;
@@ -246,7 +246,7 @@ void MulticastTree::deliver_down(DatacenterId site,
   }
 }
 
-void MulticastTree::push_frame(const media::VideoFrame& frame) {
+void MulticastTree::push_frame(const media::FrameHeader& frame) {
   node_for(hierarchy_.root());  // ensure root exists
   nodes_.at(hierarchy_.root().value).grafted = true;
   deliver_down(hierarchy_.root(), frame, sim_.now());

@@ -62,7 +62,7 @@ class ForwardingHierarchy {
 class MulticastTree {
  public:
   /// (frame, arrival time at the viewer's leaf) delivered to one viewer.
-  using ViewerSink = std::function<void(const media::VideoFrame&, TimeUs)>;
+  using ViewerSink = std::function<void(const media::FrameHeader&, TimeUs)>;
 
   struct Params {
     net::Link::Params interdc_link{};       // per-hop tree links
@@ -83,7 +83,7 @@ class MulticastTree {
   void leave(std::uint64_t viewer_id);
 
   /// Injects a frame at the root (called by the ingest server).
-  void push_frame(const media::VideoFrame& frame);
+  void push_frame(const media::FrameHeader& frame);
 
   /// Failure injection: the forwarding server at `site` crashes. Frames
   /// stop flowing through it immediately; after `detection_delay`, every
@@ -124,7 +124,7 @@ class MulticastTree {
 
   Node& node_for(DatacenterId site);
   DurationUs hop_delay(DatacenterId from, DatacenterId to, std::size_t bytes);
-  void deliver_down(DatacenterId site, const media::VideoFrame& frame,
+  void deliver_down(DatacenterId site, const media::FrameHeader& frame,
                     TimeUs at);
   /// Grafts `site` onto the live tree, skipping failed ancestors. Returns
   /// the join-control latency incurred.

@@ -113,8 +113,8 @@ TEST(IngestServer, FansOutToAllSubscribersAndChunks) {
   IngestServer server(sim, DatacenterId{0}, media::Chunker::Params{},
                       ResourceModel{});
   int viewer1 = 0, viewer2 = 0;
-  server.add_rtmp_subscriber([&](const media::VideoFrame&, TimeUs) { ++viewer1; });
-  server.add_rtmp_subscriber([&](const media::VideoFrame&, TimeUs) { ++viewer2; });
+  server.add_rtmp_subscriber([&](const media::FrameHeader&, TimeUs) { ++viewer1; });
+  server.add_rtmp_subscriber([&](const media::FrameHeader&, TimeUs) { ++viewer2; });
   std::vector<media::Chunk> chunks;
   server.set_chunk_listener([&](const media::Chunk& c) { chunks.push_back(c); });
 

@@ -354,7 +354,7 @@ TEST(IngestServer, FrameDropStreakResetsOnIngest) {
   sim::Simulator sim;
   cdn::IngestServer ingest(sim, DatacenterId{0}, media::Chunker::Params{},
                            cdn::ResourceModel{});
-  media::VideoFrame f;
+  media::FrameHeader f;
   f.size_bytes = 2000;
 
   ingest.set_down(true);

@@ -3,8 +3,10 @@
 // running events whose captures fit the EventFn inline budget must perform
 // ZERO heap allocations, and PeriodicProcess steady-state ticking must
 // re-arm in place without touching the allocator. The same hook pins the
-// HLS poll round trip: a warm edge answers polls without allocating, and
-// a session's steady-state allocations do not grow with its HLS audience.
+// HLS poll round trip (a warm edge answers polls without allocating, and
+// a session's steady-state allocations do not grow with its HLS audience)
+// and the broadcaster frame path (a warm session ingests frames without
+// allocating, and RTMP pushes do not allocate per viewer).
 //
 // This lives in its own test binary because replacing global operator new
 // is a whole-program decision; the main livesim_tests binary stays stock.
@@ -160,23 +162,24 @@ TEST(EngineAllocations, WarmEdgePollIsAllocationFree) {
   EXPECT_EQ(edge.polls_served(), 1001u);
 }
 
-// Allocations a one-edge session makes over a window of its steady state.
-// The audience is a synchronized cohort: every HLS viewer sits at the
-// broadcaster (one edge), the wheel has one bucket (everyone polls at the
-// same tick), and no delay carries jitter or outages. So the edge-side
-// timeline (expiry notices, origin fetches) is the same whatever the
-// audience size, and every new chunk finds all viewers waiting on one
-// fetch and answers them all at once. That drives the edge's waiter
-// batches and the session's chunk-buffer free list to their
+// Allocations a session makes over a window of its steady state. The
+// audience is a synchronized cohort: every viewer sits at the broadcaster
+// (HLS viewers share one edge), the wheel has one bucket (everyone polls
+// at the same tick), and no delay carries jitter or outages. So the
+// edge-side timeline (expiry notices, origin fetches) is the same
+// whatever the audience size, and every new chunk finds all viewers
+// waiting on one fetch and answers them all at once. That drives the
+// edge's waiter batches and the session's chunk-buffer free list to their
 // one-entry-per-viewer bound, and the engine's slab and heap to their
 // peak, before the window opens. Any allocation that then differs between
-// audiences is per-viewer poll work.
-std::uint64_t steady_window_allocations(std::uint32_t hls_viewers) {
+// audiences is per-viewer poll or push work.
+std::uint64_t steady_window_allocations(std::uint32_t hls_viewers,
+                                        std::uint32_t rtmp_viewers = 0) {
   Simulator sim;
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
   core::SessionConfig cfg;
   cfg.broadcast_len = 300 * time::kSecond;
-  cfg.rtmp_viewers = 0;
+  cfg.rtmp_viewers = rtmp_viewers;
   cfg.hls_viewers = hls_viewers;
   cfg.global_viewers = false;
   cfg.poll_wheel_slots = 1;
@@ -192,19 +195,55 @@ std::uint64_t steady_window_allocations(std::uint32_t hls_viewers) {
   const std::uint64_t before = allocation_count();
   sim.run_until(240 * time::kSecond);
   const std::uint64_t window = allocation_count() - before;
-  EXPECT_EQ(session.edges().size(), 1u);
+  EXPECT_EQ(session.edges().size(), hls_viewers > 0 ? 1u : 0u);
   sim.run();
   return window;
 }
 
 TEST(EngineAllocations, SteadyHlsPollingAllocationsDoNotGrowWithViewers) {
-  // What remains in the window is per-frame and per-chunk work (the
-  // broadcaster side, origin fetches, chunk ledgers), the same for both
-  // audiences.
+  // What remains in the window is per-chunk work (origin fetches, chunk
+  // ledger growth), the same for both audiences.
   const std::uint64_t n = steady_window_allocations(40);
   const std::uint64_t n2 = steady_window_allocations(80);
   EXPECT_GT(n, 0u);
   EXPECT_EQ(n, n2) << "HLS polling allocates per viewer";
+}
+
+TEST(EngineAllocations, BroadcasterSteadyFramesAreAllocationFree) {
+  // No audience: what runs is the frame source, the FIFO uplink, the
+  // ingest's chunker and the session's keyframe and chunk ledgers. By
+  // 100 s the ledgers hold ~100 keyframes and ~33 chunks, so their
+  // vectors (capacity 128 and 64) do not grow again before 120 s.
+  Simulator sim;
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  core::SessionConfig cfg;
+  cfg.broadcast_len = 300 * time::kSecond;
+  cfg.rtmp_viewers = 0;
+  cfg.hls_viewers = 0;
+  cfg.seed = 11;
+  core::BroadcastSession session(sim, catalog, cfg);
+  session.start();
+  sim.run_until(100 * time::kSecond);
+  const std::uint64_t frames_before = session.ingest().frames_ingested();
+  const std::uint64_t chunks_before = session.chunk_completed_at().size();
+  const std::uint64_t before = allocation_count();
+  sim.run_until(120 * time::kSecond);
+  const std::uint64_t window = allocation_count() - before;
+  const std::uint64_t frames = session.ingest().frames_ingested() -
+                               frames_before;
+  EXPECT_GE(frames, 25u);
+  EXPECT_GT(session.chunk_completed_at().size(), chunks_before);
+  EXPECT_EQ(window, 0u) << "the broadcaster path allocated over " << frames
+                        << " frames";
+  sim.run();
+}
+
+TEST(EngineAllocations, SteadyRtmpPushAllocationsDoNotGrowWithViewers) {
+  // Every frame schedules one push event per RTMP viewer; the push
+  // captures the frame header, not the frame, so it stays inline.
+  const std::uint64_t n = steady_window_allocations(0, 20);
+  const std::uint64_t n2 = steady_window_allocations(0, 40);
+  EXPECT_EQ(n, n2) << "RTMP push allocates per viewer";
 }
 
 }  // namespace

@@ -339,7 +339,7 @@ TEST(FaultHooks, IngestSetDownDropsFrames) {
                            cdn::ResourceModel{});
   std::size_t pushed = 0;
   server.add_rtmp_subscriber(
-      [&](const media::VideoFrame&, TimeUs) { ++pushed; });
+      [&](const media::FrameHeader&, TimeUs) { ++pushed; });
   media::FrameSource src({}, Rng(1));
 
   server.on_frame(src.next());

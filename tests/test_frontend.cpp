@@ -138,7 +138,7 @@ TEST(RtmpFrontend, DefenseKillsTamperedStream) {
   media::FrameSource src({}, Rng(1));
   bool killed = false;
   for (int i = 0; i < 10 && !killed; ++i) {
-    auto f = src.next();
+    media::VideoFrame f = src.next();
     f.payload.assign(32, static_cast<std::uint8_t>(i + 1));
     signer.process(f);
     const auto wire = attacker.intercept(protocol::frame_to_wire(f));
@@ -158,7 +158,7 @@ TEST(RtmpFrontend, DefensePassesCleanStream) {
   ASSERT_EQ(fe.consume(connect_wire(auth.issue(7))), Verdict::kAcknowledged);
   media::FrameSource src({}, Rng(2));
   for (int i = 0; i < 20; ++i) {
-    auto f = src.next();
+    media::VideoFrame f = src.next();
     f.payload.assign(32, static_cast<std::uint8_t>(i));
     signer.process(f);
     ASSERT_EQ(fe.consume(protocol::frame_to_wire(f)), Verdict::kAccepted);

@@ -2,6 +2,8 @@
 // agree about bytes or timestamps.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "livesim/core/broadcast_session.h"
 #include "livesim/stats/accumulator.h"
 #include "livesim/protocol/hls.h"
@@ -83,21 +85,63 @@ TEST(Integration, ChunkCompletionTimesMatchEdgeAvailability) {
   ASSERT_FALSE(session.edges().empty());
   // Chunk seqs count up from 0; probe past the ledger's end too, so an
   // edge reporting a chunk the ingest never completed is caught.
-  const std::uint64_t probe_end = session.chunk_completed_at().size() + 16;
+  const auto completed_at = session.chunk_completed_at();
+  const std::uint64_t probe_end = completed_at.size() + 16;
   int checked = 0;
   for (const auto& [site, edge] : session.edges()) {
     for (std::uint64_t seq = 0; seq < probe_end; ++seq) {
       const auto available_at = edge->available_at(seq);
       if (!available_at) continue;
-      const auto completed = session.chunk_completed_at().find(seq);
-      ASSERT_NE(completed, session.chunk_completed_at().end());
-      EXPECT_GT(*available_at, completed->second);
+      ASSERT_LT(seq, completed_at.size());
+      EXPECT_GT(*available_at, completed_at[seq]);
       // W2F stays within a couple of seconds even across continents.
-      EXPECT_LT(time::to_seconds(*available_at - completed->second), 3.0);
+      EXPECT_LT(time::to_seconds(*available_at - completed_at[seq]), 3.0);
       ++checked;
     }
   }
   EXPECT_GT(checked, 10);
+}
+
+TEST(Integration, SparseKeyframesScoreOnlyChunksThatOpenOnAKeyframe) {
+  // A keyframe every 8 s against a 6 s chunk cap: some chunks seal at the
+  // cap and the next opens mid-GOP. The HLS upload and chunking legs are
+  // measured from the opening keyframe's arrival, so only chunks that
+  // open on a keyframe get a sample.
+  sim::Simulator sim;
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  core::SessionConfig cfg;
+  cfg.broadcast_len = 120 * time::kSecond;
+  cfg.encoder.gop_frames = 200;
+  ASSERT_GT(cfg.encoder.gop_frames * cfg.encoder.frame_interval,
+            cfg.chunker.max_duration);
+  cfg.hls_viewers = 2;
+  cfg.rtmp_viewers = 0;
+  cfg.seed = 8;
+  core::BroadcastSession session(sim, catalog, cfg);
+  session.start();
+  sim.run();
+  session.finalize();
+
+  // Chunk boundaries depend only on frame durations and keyframe flags,
+  // so a standalone chunker fed the same frames seals the same chunks.
+  media::FrameSource replay(cfg.encoder, Rng(1));
+  media::Chunker chunker(cfg.chunker);
+  std::uint64_t chunks = 0;
+  std::uint64_t keyed = 0;
+  const auto tally = [&](const std::optional<media::Chunk>& c) {
+    if (!c) return;
+    ++chunks;
+    if (c->first_frame_seq % cfg.encoder.gop_frames == 0) ++keyed;
+  };
+  for (std::uint64_t i = 0; i < session.ingest().frames_ingested(); ++i)
+    tally(chunker.push(replay.next(), 0));
+  tally(chunker.flush(0));
+
+  ASSERT_EQ(chunks, session.chunk_completed_at().size());
+  EXPECT_GT(keyed, 0u);
+  EXPECT_LT(keyed, chunks);
+  EXPECT_EQ(session.hls_breakdown().upload_s.count(), keyed);
+  EXPECT_EQ(session.hls_breakdown().chunking_s.count(), keyed);
 }
 
 TEST(Integration, ViewerResultsExposeAttachmentGeography) {

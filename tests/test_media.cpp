@@ -10,9 +10,9 @@ FrameSource::Params default_params() { return {}; }
 
 TEST(FrameSource, SequentialTimestamps) {
   FrameSource src(default_params(), Rng(1));
-  VideoFrame prev = src.next();
+  FrameHeader prev = src.next();
   for (int i = 1; i < 100; ++i) {
-    const VideoFrame f = src.next();
+    const FrameHeader f = src.next();
     EXPECT_EQ(f.seq, prev.seq + 1);
     EXPECT_EQ(f.capture_ts - prev.capture_ts, f.duration);
     prev = f;
@@ -24,7 +24,7 @@ TEST(FrameSource, KeyframeCadence) {
   p.gop_frames = 25;
   FrameSource src(p, Rng(2));
   for (int i = 0; i < 100; ++i) {
-    const VideoFrame f = src.next();
+    const FrameHeader f = src.next();
     EXPECT_EQ(f.keyframe, f.seq % 25 == 0) << "seq " << f.seq;
   }
 }
@@ -34,7 +34,7 @@ TEST(FrameSource, KeyframesAreLarger) {
   double key_sum = 0, other_sum = 0;
   int keys = 0, others = 0;
   for (int i = 0; i < 2000; ++i) {
-    const VideoFrame f = src.next();
+    const FrameHeader f = src.next();
     if (f.keyframe) {
       key_sum += f.size_bytes;
       ++keys;
@@ -58,15 +58,15 @@ TEST(FrameSource, GopAverageNearMeanFrameBytes) {
 
 TEST(FrameSource, StartOffsetShiftsCaptureTimes) {
   FrameSource src(default_params(), Rng(5));
-  const VideoFrame f = src.next(1000000);
+  const FrameHeader f = src.next(1000000);
   EXPECT_EQ(f.capture_ts, 1000000);
 }
 
-std::vector<VideoFrame> make_frames(int n, std::uint32_t gop = 25) {
+std::vector<FrameHeader> make_frames(int n, std::uint32_t gop = 25) {
   FrameSource::Params p;
   p.gop_frames = gop;
   FrameSource src(p, Rng(6));
-  std::vector<VideoFrame> out;
+  std::vector<FrameHeader> out;
   out.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) out.push_back(src.next());
   return out;

@@ -51,7 +51,7 @@ TEST_F(OverlayFixture, SingleViewerReceivesAllFrames) {
   auto tree = make_tree();
   int received = 0;
   tree.join({52.52, 13.40},  // Berlin
-            [&](const media::VideoFrame&, TimeUs) { ++received; });
+            [&](const media::FrameHeader&, TimeUs) { ++received; });
   sim_.run();  // graft completes
 
   media::FrameSource src({}, Rng(4));
@@ -64,7 +64,7 @@ TEST_F(OverlayFixture, FramesBeforeGraftAreMissed) {
   auto tree = make_tree();
   int received = 0;
   tree.join({52.52, 13.40},
-            [&](const media::VideoFrame&, TimeUs) { ++received; });
+            [&](const media::FrameHeader&, TimeUs) { ++received; });
   // Push immediately, before the graft completes.
   media::FrameSource src({}, Rng(5));
   tree.push_frame(src.next());
@@ -77,7 +77,7 @@ TEST_F(OverlayFixture, ForwardingStateScalesWithSitesNotViewers) {
   Rng rng(6);
   geo::UserGeoSampler sampler;
   for (int i = 0; i < 2000; ++i)
-    tree.join(sampler.sample(rng), [](const media::VideoFrame&, TimeUs) {});
+    tree.join(sampler.sample(rng), [](const media::FrameHeader&, TimeUs) {});
   sim_.run();
   EXPECT_EQ(tree.viewers(), 2000u);
   // On-tree nodes bounded by the 23 edges + root, regardless of audience.
@@ -91,7 +91,7 @@ TEST_F(OverlayFixture, TreeForwardOpsBeatPerViewerPush) {
   geo::UserGeoSampler sampler;
   const int kViewers = 500;
   for (int i = 0; i < kViewers; ++i)
-    tree.join(sampler.sample(rng), [](const media::VideoFrame&, TimeUs) {});
+    tree.join(sampler.sample(rng), [](const media::FrameHeader&, TimeUs) {});
   sim_.run();
 
   media::FrameSource src({}, Rng(8));
@@ -112,7 +112,7 @@ TEST_F(OverlayFixture, LeavePrunesBranch) {
   auto tree = make_tree();
   const auto id =
       tree.join({-33.87, 151.21},  // Sydney: a lonely branch
-                [](const media::VideoFrame&, TimeUs) {});
+                [](const media::FrameHeader&, TimeUs) {});
   sim_.run();
   const auto nodes_with = tree.on_tree_nodes();
   tree.leave(id);
@@ -129,9 +129,9 @@ TEST_F(OverlayFixture, LeaveKeepsSharedPath) {
   auto tree = make_tree();
   int received = 0;
   const auto a = tree.join({48.86, 2.35},  // Paris
-                           [](const media::VideoFrame&, TimeUs) {});
+                           [](const media::FrameHeader&, TimeUs) {});
   tree.join({48.86, 2.35},  // second Paris viewer shares the branch
-            [&](const media::VideoFrame&, TimeUs) { ++received; });
+            [&](const media::FrameHeader&, TimeUs) { ++received; });
   sim_.run();
   tree.leave(a);
 
@@ -144,7 +144,7 @@ TEST_F(OverlayFixture, LeaveKeepsSharedPath) {
 TEST_F(OverlayFixture, DoubleLeaveIsIdempotent) {
   auto tree = make_tree();
   const auto id = tree.join({51.51, -0.13},
-                            [](const media::VideoFrame&, TimeUs) {});
+                            [](const media::FrameHeader&, TimeUs) {});
   sim_.run();
   tree.leave(id);
   tree.leave(id);
@@ -155,16 +155,16 @@ TEST_F(OverlayFixture, DoubleLeaveIsIdempotent) {
 TEST_F(OverlayFixture, JoinLatencyGrowsWithDistanceFromTree) {
   // First, an empty tree: a far viewer pays the full path graft.
   auto tree = make_tree();
-  tree.join({-33.87, 151.21}, [](const media::VideoFrame&, TimeUs) {});
+  tree.join({-33.87, 151.21}, [](const media::FrameHeader&, TimeUs) {});
   sim_.run();
   const double first = tree.mean_join_latency_s();
   EXPECT_GT(first, 0.02);  // several wide-area RTTs
 
   // A second viewer in the same city grafts instantly at the leaf.
   auto tree2 = make_tree();
-  tree2.join({-33.87, 151.21}, [](const media::VideoFrame&, TimeUs) {});
+  tree2.join({-33.87, 151.21}, [](const media::FrameHeader&, TimeUs) {});
   sim_.run();
-  tree2.join({-33.85, 151.20}, [](const media::VideoFrame&, TimeUs) {});
+  tree2.join({-33.85, 151.20}, [](const media::FrameHeader&, TimeUs) {});
   sim_.run();
   // Mean over {full graft, leaf-only join} < full graft alone.
   EXPECT_LT(tree2.mean_join_latency_s(), first * 1.05);
@@ -174,7 +174,7 @@ TEST_F(OverlayFixture, EndToEndDelayComparableToRtmp) {
   auto tree = make_tree();
   stats::Accumulator delay;
   tree.join({40.71, -74.01},  // NYC
-            [&](const media::VideoFrame& f, TimeUs at) {
+            [&](const media::FrameHeader& f, TimeUs at) {
               delay.add(time::to_seconds(at - f.capture_ts));
             });
   sim_.run();
@@ -195,7 +195,7 @@ TEST_F(OverlayFixture, FailedLeafRepairsAndViewersResume) {
   auto tree = make_tree();
   int received = 0;
   tree.join({48.86, 2.35},  // Paris viewer -> Paris leaf
-            [&](const media::VideoFrame&, TimeUs) { ++received; });
+            [&](const media::FrameHeader&, TimeUs) { ++received; });
   sim_.run();
 
   media::FrameSource src({}, Rng(20));
@@ -225,7 +225,7 @@ TEST_F(OverlayFixture, FailedTransitNodeReroutesSubtree) {
   int received = 0;
   // A viewer whose path to the San Jose root transits other edges.
   tree.join({52.52, 13.40},  // Berlin
-            [&](const media::VideoFrame&, TimeUs) { ++received; });
+            [&](const media::FrameHeader&, TimeUs) { ++received; });
   sim_.run();
 
   const auto& berlin_leaf =
@@ -247,14 +247,14 @@ TEST_F(OverlayFixture, JoinAvoidsFailedLeaf) {
   auto tree = make_tree();
   const auto& paris = catalog_.nearest({48.86, 2.35}, geo::CdnRole::kEdge);
   // Pre-fail the Paris edge (it must be on the tree to be failable).
-  tree.join({48.86, 2.35}, [](const media::VideoFrame&, TimeUs) {});
+  tree.join({48.86, 2.35}, [](const media::FrameHeader&, TimeUs) {});
   sim_.run();
   tree.fail_site(paris.id, 0);
   sim_.run();
 
   int received = 0;
   tree.join({48.86, 2.35},
-            [&](const media::VideoFrame&, TimeUs) { ++received; });
+            [&](const media::FrameHeader&, TimeUs) { ++received; });
   sim_.run();
   media::FrameSource src({}, Rng(22));
   for (int i = 0; i < 5; ++i) tree.push_frame(src.next());

@@ -177,7 +177,7 @@ std::vector<BroadcastTrace> legacy_generate_traces(const TraceSetConfig& config)
 
     uplink.send(4096, [](TimeUs) {});
     for (std::uint64_t i = 0; i < frames; ++i) {
-      media::VideoFrame f = source.next(0);
+      const media::FrameHeader f = source.next(0);
       sim.schedule_at(
           f.capture_ts + trace.frame_interval, [&, f]() mutable {
             uplink.send(f.size_bytes + 64, [&trace, &chunker, f](TimeUs at) {

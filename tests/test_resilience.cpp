@@ -252,6 +252,43 @@ TEST(Failover, MigratedViewersKeepPlayingAfterTheCrash) {
   }
 }
 
+TEST(Failover, RtmpToHlsResumePointFollowsTheChunkLedger) {
+  // A migrated RTMP viewer resumes HLS after the last chunk the ingest
+  // sealed by the crash. The crash drops 10 s of frames, so the chunk
+  // that opens after the restart need not start on a keyframe.
+  sim::Simulator sim;
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  core::SessionConfig cfg;
+  cfg.broadcast_len = 60 * time::kSecond;
+  cfg.rtmp_viewers = 3;
+  cfg.hls_viewers = 1;
+  cfg.seed = 4;
+  const TimeUs crash = 20 * time::kSecond;
+  cfg.faults.add({crash, fault::FaultKind::kIngestCrash, 10 * time::kSecond});
+  core::BroadcastSession session(sim, catalog, cfg);
+  session.start();
+  sim.run();
+  session.finalize();
+
+  // Pinned from the node-map ledger this vector ledger replaced.
+  constexpr std::int64_t kResumeAfter = 5;
+  constexpr DurationUs kOffered[] = {32040000, 32040000, 32040000};
+  constexpr std::uint64_t kKeyedChunks = 17;
+
+  const auto completed = session.chunk_completed_at();
+  std::int64_t resume_after = -1;
+  for (std::size_t seq = 0; seq < completed.size(); ++seq)
+    if (completed[seq] <= crash) resume_after = static_cast<std::int64_t>(seq);
+  EXPECT_EQ(resume_after, kResumeAfter);
+  ASSERT_EQ(session.counters().rtmp_failovers, cfg.rtmp_viewers);
+  // Media each migrated viewer's HLS schedule was offered: one chunk
+  // more or less than the pinned resume point moves it by ~3 s.
+  for (std::size_t i = 0; i < cfg.rtmp_viewers; ++i)
+    EXPECT_EQ(session.viewer_playback(i).media_offered(), kOffered[i]) << i;
+  EXPECT_EQ(session.hls_breakdown().upload_s.count(), kKeyedChunks);
+  EXPECT_EQ(session.hls_breakdown().chunking_s.count(), kKeyedChunks);
+}
+
 // --- 4. Correlated fault scenarios -----------------------------------
 
 std::uint64_t fingerprint(const fault::FaultSchedule& s) {

@@ -13,7 +13,7 @@ std::vector<media::VideoFrame> make_frames(int n) {
   std::vector<media::VideoFrame> out;
   Rng payload_rng(2);
   for (int i = 0; i < n; ++i) {
-    auto f = src.next();
+    media::VideoFrame f = src.next();
     f.payload.resize(64);
     for (auto& b : f.payload)
       b = static_cast<std::uint8_t>(payload_rng.next_u64());
