@@ -66,10 +66,12 @@ inline std::size_t dark_edges(const geo::DatacenterCatalog& catalog,
 }
 
 /// Ledger conservation every cell must hold: one overshoot sample per
-/// spill and one wheel re-attachment sample per edge failover.
+/// spill, one wheel re-attachment sample per edge failover, and each
+/// failover either scored or counted unscored.
 inline bool conserved(const analysis::FlashCrowdStats& s) {
   return s.spill_distance_km.count() == s.edge_spills &&
-         s.reattach_latency_s.count() == s.edge_failovers;
+         s.reattach_latency_s.count() == s.edge_failovers &&
+         s.failovers_accounted();
 }
 
 /// Runs `cfg` at threads {1, 2, 8}, printing one fingerprint line each,

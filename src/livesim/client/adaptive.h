@@ -41,11 +41,6 @@ class AdaptivePlayback {
   DurationUs current_pre_buffer() const noexcept { return current_target_; }
   std::uint32_t rebuffer_events() const noexcept { return rebuffers_; }
   bool started() const noexcept { return started_; }
-  /// Total media time offered via on_arrival. Resilience experiments use
-  /// this to charge media that never reached the client (server death,
-  /// exhausted retries) as stall on top of stall_ratio(), which only
-  /// covers what was offered.
-  DurationUs media_offered() const noexcept { return media_offered_; }
 
  private:
   void anchor(TimeUs arrival, DurationUs media_offset);

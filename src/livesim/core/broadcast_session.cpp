@@ -16,6 +16,11 @@ constexpr std::size_t kConnectBytes = 4096;
 // HLS poll request and playlist response sizes.
 constexpr std::size_t kPollRequestBytes = 400;
 constexpr std::size_t kPlaylistBytes = 1200;
+
+// The ledger of failovers that ended (or the read found) unscored.
+std::uint64_t& unscored_failovers(SessionCounters& c, bool from_edge) {
+  return from_edge ? c.unscored_edge_failovers : c.unscored_rtmp_failovers;
+}
 }  // namespace
 
 BroadcastSession::BroadcastSession(sim::Simulator& sim,
@@ -412,6 +417,7 @@ void BroadcastSession::migrate_rtmp_viewer(Viewer& v, TimeUs crashed_at) {
   // Kill the old pipeline first so in-flight deliveries are dropped.
   ++v.generation;
   teardown_polling(v);
+  v.retry.reset();  // a fresh connection starts a fresh retry streak
   v.hls = true;
   // The measured app's failover target was plain HLS (the 2016 ladder had
   // no middle rung); migrated RTMP viewers land on kHls, never kLlHls.
@@ -472,6 +478,8 @@ void BroadcastSession::migrate_hls_viewer(
   // closure of the old transaction fails its generation check.
   ++v.generation;
   teardown_polling(v);
+  v.retry.reset();  // a fresh connection starts a fresh retry streak
+  drop_pending_failover(v);  // this failover supersedes any unscored one
   detach_from_edge(v);  // the dead PoP sheds its audience
 
   // `exclude` carries the triggering event's dark set (which contains
@@ -528,7 +536,7 @@ void BroadcastSession::rejoin_rtmp_viewer(Viewer& v) {
   const cdn::DeliveryTier retired_tier = v.tier;  // the pull phase's ledger
   v.hls = false;
   v.tier = cdn::DeliveryTier::kRtmp;
-  v.failover_crash_at = -1;  // any unfinished failover measurement is moot
+  drop_pending_failover(v);  // an unfinished failover is never scored
   v.pending_reattach = false;
   v.attachment = ingest_site_;
 
@@ -624,7 +632,28 @@ SessionCounters BroadcastSession::counters() const {
   SessionCounters c = counters_;
   if (control_) c.control_drains = control_->policy().drains();
   for (const auto& inj : injectors_) c.faults_injected += inj->injected();
+  // A failover still waiting for its first chunk has no latency sample.
+  for (const auto& v : viewers_)
+    if (v->failover_crash_at >= 0)
+      ++unscored_failovers(c, v->failover_from_edge);
   return c;
+}
+
+void BroadcastSession::drop_pending_failover(Viewer& v) {
+  if (v.failover_crash_at < 0) return;
+  ++unscored_failovers(counters_, v.failover_from_edge);
+  v.failover_crash_at = -1;
+}
+
+void BroadcastSession::score_failover(Viewer& v, TimeUs recv_time) {
+  if (v.failover_crash_at < 0) return;
+  // First post-failover media received: the migration is complete.
+  // Edge-to-edge re-anycasts and RTMP->HLS migrations keep separate
+  // ledgers (different detection paths, different pre-buffer flushes).
+  auto& ledger = v.failover_from_edge ? counters_.edge_failover_latency_s
+                                      : counters_.failover_latency_s;
+  ledger.add(time::to_seconds(recv_time - v.failover_crash_at));
+  v.failover_crash_at = -1;
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
@@ -767,16 +796,7 @@ void BroadcastSession::record_hls_chunk(Viewer& v, const media::Chunk& c,
     hls_.polling_s.add(time::to_seconds(polling));
   }
   hls_.last_mile_s.add(time::to_seconds(download_delay));
-  if (v.failover_crash_at >= 0) {
-    // First post-failover chunk on screen: the migration is complete.
-    // Edge-to-edge re-anycasts and RTMP->HLS migrations keep separate
-    // ledgers (different detection paths, different pre-buffer flushes).
-    auto& ledger =
-        v.failover_from_edge ? counters_.edge_failover_latency_s
-                             : counters_.failover_latency_s;
-    ledger.add(time::to_seconds(recv_time - v.failover_crash_at));
-    v.failover_crash_at = -1;
-  }
+  score_failover(v, recv_time);
   if (config_.record_journeys && &v == first_hls_viewer_) {
     ChunkJourney j;
     j.seq = c.seq;
@@ -922,13 +942,7 @@ void BroadcastSession::record_llhls_part(Viewer& v, const media::Part& p,
     llhls_.polling_s.add(time::to_seconds(polling));
   }
   llhls_.last_mile_s.add(time::to_seconds(download_delay));
-  if (v.failover_crash_at >= 0) {
-    auto& ledger =
-        v.failover_from_edge ? counters_.edge_failover_latency_s
-                             : counters_.failover_latency_s;
-    ledger.add(time::to_seconds(recv_time - v.failover_crash_at));
-    v.failover_crash_at = -1;
-  }
+  score_failover(v, recv_time);
   v.playback->on_arrival(recv_time, p.first_capture_ts, p.duration);
 }
 
@@ -1130,9 +1144,11 @@ void BroadcastSession::arm_poll_timeout(Viewer& v, std::uint64_t gen) {
     if (viewer->generation != gen) return;
     if (!poll_outstanding(*viewer)) return;  // answered in time
     // Unanswered (dead edge, abandoned waiter): the client's request
-    // timer fires. Clear the wedged flag and demote to the retry lane.
+    // timer fires and it closes the request, so a late response is
+    // dropped (new generation). Clear the wedged flag and demote to the
+    // retry lane.
     set_poll_outstanding(*viewer, false);
-    poll_failed(*viewer, gen);
+    poll_failed(*viewer, ++viewer->generation);
   });
 }
 
@@ -1146,7 +1162,10 @@ void BroadcastSession::poll_failed(Viewer& v, std::uint64_t gen) {
   // client/retry.h schedule, never wheel-aligned.
   teardown_polling(v);
   const auto retry_at = v.retry->on_failure(sim_.now(), *v.retry_rng);
-  if (!retry_at) return;  // gave up: inert until failover rescues it
+  if (!retry_at) {  // gave up: inert until failover rescues it
+    ++counters_.poll_retry_giveups;
+    return;
+  }
   auto* viewer = &v;
   v.retry_event = sim_.schedule_at(*retry_at, [this, viewer, gen] {
     viewer->retry_event = sim::EventHandle{};

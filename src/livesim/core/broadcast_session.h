@@ -95,7 +95,8 @@ struct SessionConfig {
   /// one-shot timer paced by client::PollRetryState's capped exponential
   /// backoff; the first answered poll re-promotes it to the wheel with a
   /// fresh phase. A viewer whose streak exhausts max_attempts goes inert
-  /// until failover rescues it.
+  /// until failover rescues it (poll_retry_giveups): a timed-out poll's
+  /// late response is dropped, and a migration starts a fresh streak.
   bool hls_poll_retry = false;
   client::PollRetryState::Params poll_retry{};
   DurationUs poll_retry_timeout = 1 * time::kSecond;
@@ -355,8 +356,9 @@ class BroadcastSession {
     /// from a previous attachment are dropped (the client closed that
     /// connection), never delivered into the new pipeline.
     std::uint64_t generation = 0;
-    /// Set while a failover is in flight: the death time, cleared (and
-    /// the latency recorded) when the first post-migration chunk lands.
+    /// Set while a failover is in flight: the death time, cleared when
+    /// the first post-migration chunk lands (score_failover) or when the
+    /// failover ends unscored (drop_pending_failover).
     TimeUs failover_crash_at = -1;
     /// Which ledger the in-flight failover belongs to (RTMP->HLS vs
     /// edge-to-edge).
@@ -435,6 +437,11 @@ class BroadcastSession {
   void poll_succeeded(Viewer& v);
   void record_hls_chunk(Viewer& v, const media::Chunk& c, TimeUs poll_at_edge,
                         TimeUs recv_time, DurationUs download_delay);
+  /// Scores an in-flight failover's latency at its first media received.
+  void score_failover(Viewer& v, TimeUs recv_time);
+  /// Ends an in-flight failover unscored (the viewer rejoined RTMP or
+  /// failed over again first).
+  void drop_pending_failover(Viewer& v);
   /// The response leg of a poll landing on the viewer: the corruption
   /// check, then every chunk newer than last_seq recorded and played.
   void deliver_hls_response(Viewer& v, const std::vector<media::Chunk>& chunks,

@@ -36,9 +36,21 @@ namespace livesim::core {
   X(std::uint64_t, proactive_migrations)                                    \
   /* Capacity orphans parked on the overlay mesh instead of freezing. */    \
   X(std::uint64_t, overlay_assists)                                         \
-  /* Ingest crash -> first HLS chunk on the migrated viewer's screen, s. */ \
+  /* HLS viewers whose poll retry streak hit max_attempts (only with */     \
+  /* hls_poll_retry): inert until a failover rescues them. */               \
+  X(std::uint64_t, poll_retry_giveups)                                      \
+  /* RTMP failovers with no failover_latency_s sample: the viewer */        \
+  /* rejoined RTMP or failed over again before its first chunk, or */       \
+  /* still waits for it when counters() is read (it left, or the */         \
+  /* broadcast ended). So failover_latency_s.count() + this == */           \
+  /* rtmp_failovers. */                                                     \
+  X(std::uint64_t, unscored_rtmp_failovers)                                 \
+  /* The same for edge failovers: */                                        \
+  /* edge_failover_latency_s.count() + this == edge_failovers. */           \
+  X(std::uint64_t, unscored_edge_failovers)                                 \
+  /* Ingest crash -> first HLS chunk the migrated viewer receives, s. */    \
   X(stats::Accumulator, failover_latency_s)                                 \
-  /* Edge death -> first chunk on screen via the new edge, s. */            \
+  /* Edge death -> first chunk received via the new edge, s. */             \
   X(stats::Accumulator, edge_failover_latency_s)                            \
   /* Migration decision -> first quantized poll tick on the new wheel. */   \
   X(stats::Accumulator, reattach_latency_s)                                 \
@@ -71,6 +83,15 @@ struct SessionCounters {
       add(mine, theirs);
     };
     visit(add_field, *this, o);
+  }
+
+  /// Each failover is scored in its latency ledger or counted unscored,
+  /// exactly once, for RTMP->HLS and edge-to-edge failovers alike.
+  bool failovers_accounted() const noexcept {
+    return failover_latency_s.count() + unscored_rtmp_failovers ==
+               rtmp_failovers &&
+           edge_failover_latency_s.count() + unscored_edge_failovers ==
+               edge_failovers;
   }
 
  private:

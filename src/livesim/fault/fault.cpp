@@ -85,14 +85,6 @@ FaultSchedule FaultSchedule::randomized(const RandomFaultParams& params,
   return out;
 }
 
-bool FaultSchedule::active(FaultKind kind, TimeUs t) const noexcept {
-  for (const auto& e : events_) {
-    if (e.at > t) break;
-    if (e.kind == kind && t < e.at + e.duration) return true;
-  }
-  return false;
-}
-
 std::vector<FaultEvent> FaultSchedule::of_kind(FaultKind kind) const {
   std::vector<FaultEvent> out;
   for (const auto& e : events_)

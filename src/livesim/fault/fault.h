@@ -24,7 +24,8 @@ namespace livesim::fault {
 enum class FaultKind : std::uint8_t {
   kIngestCrash = 0,    // Wowza node dies; restarts after `duration`
   kEdgeCacheFlush,     // edge cache wiped; next poll re-pulls from origin
-  kLinkDegrade,        // link outage/partition lasting `duration`
+  kLinkDegrade,        // broadcaster uplink outage lasting `duration`:
+                       // frames queue and flood out at recovery
   kChunkCorruption,    // downloads corrupt w.p. `magnitude` for `duration`
   kEdgeDown,           // edge PoP dies for `duration`; viewers re-anycast
 };
@@ -90,9 +91,6 @@ class FaultSchedule {
   const std::vector<FaultEvent>& events() const noexcept { return events_; }
   bool empty() const noexcept { return events_.empty(); }
   std::size_t size() const noexcept { return events_.size(); }
-
-  /// True if `t` falls inside any `kind` event's [at, at+duration) window.
-  bool active(FaultKind kind, TimeUs t) const noexcept;
 
   /// All events of one kind, in time order.
   std::vector<FaultEvent> of_kind(FaultKind kind) const;

@@ -39,18 +39,6 @@ TEST(FaultSchedule, AddIsStableAtEqualTimes) {
   EXPECT_EQ(s.events()[1].kind, fault::FaultKind::kLinkDegrade);
 }
 
-TEST(FaultSchedule, ActiveCoversHalfOpenWindow) {
-  fault::FaultSchedule s;
-  s.add({10 * time::kSecond, fault::FaultKind::kLinkDegrade,
-         4 * time::kSecond});
-  EXPECT_FALSE(s.active(fault::FaultKind::kLinkDegrade, 9 * time::kSecond));
-  EXPECT_TRUE(s.active(fault::FaultKind::kLinkDegrade, 10 * time::kSecond));
-  EXPECT_TRUE(s.active(fault::FaultKind::kLinkDegrade,
-                       14 * time::kSecond - 1));
-  EXPECT_FALSE(s.active(fault::FaultKind::kLinkDegrade, 14 * time::kSecond));
-  EXPECT_FALSE(s.active(fault::FaultKind::kIngestCrash, 11 * time::kSecond));
-}
-
 TEST(FaultSchedule, RandomizedIsDeterministicInSeed) {
   fault::RandomFaultParams p;
   p.faults_per_minute = 3.0;

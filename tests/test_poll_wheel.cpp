@@ -640,12 +640,10 @@ TEST(RetryLane, TimedOutPollDemotesToBackedOffSoloAttempts) {
       << "retry lane produced no extra poll attempts during the outage";
 }
 
-TEST(RetryLane, GiveUpIsTerminalUntilFailoverRescues) {
-  // max_attempts = 1: the first timed-out poll exhausts the streak and
-  // the viewer goes inert -- no solo timer, no polling -- until the edge
-  // failover machinery migrates it. Everyone still finishes playing.
-  sim::Simulator sim;
-  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+// Four co-located HLS viewers with max_attempts = 1 (the first timed-out
+// poll exhausts the streak); a 10 s outage of their edge at t = 20 s.
+core::SessionConfig give_up_config(const geo::DatacenterCatalog& catalog,
+                                   DurationUs poll_retry_timeout) {
   core::SessionConfig cfg;
   cfg.broadcast_len = 60 * time::kSecond;
   cfg.rtmp_viewers = 0;
@@ -653,7 +651,7 @@ TEST(RetryLane, GiveUpIsTerminalUntilFailoverRescues) {
   cfg.global_viewers = false;
   cfg.seed = 5;
   cfg.hls_poll_retry = true;
-  cfg.poll_retry_timeout = 300 * time::kMillisecond;
+  cfg.poll_retry_timeout = poll_retry_timeout;
   cfg.poll_retry.max_attempts = 1;
   fault::RegionalBlackoutSpec spec;
   spec.at = 20 * time::kSecond;
@@ -663,16 +661,51 @@ TEST(RetryLane, GiveUpIsTerminalUntilFailoverRescues) {
   fault::FaultScenario scenario;
   scenario.add(spec);
   cfg.faults = scenario.expand(catalog, cfg.seed);
+  return cfg;
+}
+
+TEST(RetryLane, GiveUpIsTerminalUntilFailoverRescues) {
+  // The default 1 s timeout: polls first go unanswered inside the outage,
+  // so give-ups happen there, and a viewer that gives up goes inert -- no
+  // solo timer, no polling -- until the edge failover machinery migrates
+  // it. Everyone still finishes playing.
+  sim::Simulator sim;
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  const core::SessionConfig cfg =
+      give_up_config(catalog, core::SessionConfig{}.poll_retry_timeout);
 
   core::BroadcastSession session(sim, catalog, cfg);
   session.start();
   sim.run();
   session.finalize();
-  EXPECT_EQ(session.counters().edge_failovers, cfg.hls_viewers);
+  const core::SessionCounters c = session.counters();
+  EXPECT_EQ(c.edge_failovers, cfg.hls_viewers);
+  EXPECT_GT(c.poll_retry_giveups, 0u);
+  EXPECT_LE(c.poll_retry_giveups, cfg.hls_viewers);
   for (const auto& v : session.viewer_results()) {
     EXPECT_FALSE(v.orphaned);
     EXPECT_GT(v.units_played, 0u);
   }
+}
+
+TEST(RetryLane, GiveUpHappensAtMostOncePerAttachment) {
+  // A 300 ms timeout also fires on a cold edge's first origin pull, so
+  // viewers give up before the outage too. A late response to a timed-out
+  // poll must not revive a viewer that gave up: each viewer gives up at
+  // most once on its first edge and once per failover that rescues it.
+  sim::Simulator sim;
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  const core::SessionConfig cfg =
+      give_up_config(catalog, 300 * time::kMillisecond);
+
+  core::BroadcastSession session(sim, catalog, cfg);
+  session.start();
+  sim.run();
+  session.finalize();
+  const core::SessionCounters c = session.counters();
+  ASSERT_GT(c.poll_retry_giveups, 0u);
+  EXPECT_LE(c.poll_retry_giveups, cfg.hls_viewers + c.edge_failovers);
+  EXPECT_TRUE(c.failovers_accounted());
 }
 
 TEST(RetryLane, RetryRunsAreRunToRunDeterministic) {

@@ -5,8 +5,9 @@
 //     fully inert — the §5.2/§6 experiment pipelines produce bit-identical
 //     output at threads 1 and 8, and a session reports zero fault
 //     activity.
-//  2. Thread determinism: a fixed-seed resilience run with a non-empty
-//     randomized schedule is byte-identical at threads {1, 2, 8}.
+//  2. Thread determinism: fixed-seed sessions with randomized fault
+//     scripts, sharded over a thread pool, are byte-identical at threads
+//     {1, 2, 8}.
 //  3. Failover accounting: an ingest crash mid-broadcast migrates every
 //     RTMP viewer onto the HLS/W2F path instead of dropping them, and the
 //     latency ledger matches the migration count.
@@ -19,13 +20,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "livesim/analysis/resilience.h"
+#include "livesim/analysis/experiments.h"
 #include "livesim/core/broadcast_session.h"
 #include "livesim/core/service.h"
 #include "livesim/fault/scenario.h"
 #include "livesim/sim/parallel.h"
 #include "livesim/util/fingerprint.h"
 #include "livesim/workload/crowd.h"
+#include "session_fingerprint.h"
 
 namespace {
 using namespace livesim;
@@ -33,20 +35,6 @@ using namespace livesim;
 std::uint64_t fingerprint(const stats::Sampler& s) {
   Fingerprint h;
   for (double x : s.samples()) h.mix_double(x);
-  return h.value();
-}
-
-std::uint64_t fingerprint(const analysis::ResilienceStats& r) {
-  Fingerprint h;
-  h.mix(fingerprint(r.stall_ratio));
-  h.mix(fingerprint(r.rebuffer_count));
-  h.mix(fingerprint(r.failover_latency_s));
-  h.mix(r.counters.viewers);
-  h.mix(r.counters.faults_injected);
-  h.mix(r.counters.ingest_crashes);
-  h.mix(r.counters.failovers);
-  h.mix(r.counters.unrecoverable);
-  h.mix(r.counters.chunk_refetches);
   return h.value();
 }
 
@@ -85,22 +73,6 @@ TEST(NoFaultParity, BufferingPipelineIdenticalAtThreads1And8) {
   EXPECT_EQ(fingerprint(b1.mean_delay_s), fingerprint(b8.mean_delay_s));
 }
 
-TEST(NoFaultParity, ZeroFaultRateIsInertInResilienceRun) {
-  const auto traces = small_trace_set(1);
-  analysis::ResilienceConfig cfg;  // faults_per_minute defaults to 0
-  cfg.seed = 3;
-  const auto r = analysis::resilience_experiment(traces, cfg);
-  EXPECT_EQ(r.counters.viewers, traces.size());
-  EXPECT_EQ(r.counters.faults_injected, 0u);
-  EXPECT_EQ(r.counters.ingest_crashes, 0u);
-  EXPECT_EQ(r.counters.failovers, 0u);
-  EXPECT_EQ(r.counters.unrecoverable, 0u);
-  EXPECT_EQ(r.counters.chunk_refetches, 0u);
-  EXPECT_TRUE(r.failover_latency_s.empty());
-  // Every viewer played the whole broadcast over RTMP.
-  EXPECT_LT(r.stall_ratio.quantile(0.5), 0.05);
-}
-
 TEST(NoFaultParity, SessionWithEmptyScheduleReportsNoFaultActivity) {
   sim::Simulator sim;
   const auto catalog = geo::DatacenterCatalog::paper_footprint();
@@ -124,33 +96,81 @@ TEST(NoFaultParity, SessionWithEmptyScheduleReportsNoFaultActivity) {
 
 // --- 2. Thread determinism -------------------------------------------
 
+// Broadcast i of a fault-rate sweep: a short session with one viewer per
+// tier, poll retry on, and its own randomized fault script drawn from a
+// substream of `seed`. Returns the session fingerprint and its ledgers.
+struct FaultyBroadcast {
+  std::uint64_t fingerprint = 0;
+  core::SessionCounters counters;
+};
+
+FaultyBroadcast randomized_fault_session(const geo::DatacenterCatalog& catalog,
+                                         std::uint64_t seed, std::size_t i) {
+  core::SessionConfig cfg;
+  cfg.broadcast_len = 40 * time::kSecond;
+  cfg.rtmp_viewers = 1;
+  cfg.hls_viewers = 1;
+  cfg.seed = sim::substream_seed(seed, i);
+  cfg.hls_poll_retry = true;
+  fault::RandomFaultParams faults;
+  faults.faults_per_minute = 4.0;
+  faults.horizon = cfg.broadcast_len;
+  faults.edge_down_weight = 1.0;  // every fault kind the session handles
+  cfg.faults = fault::FaultSchedule::randomized(
+      faults, sim::substream_seed(seed ^ 0xFA175EEDULL, i));
+  sim::Simulator sim;
+  core::BroadcastSession session(sim, catalog, cfg);
+  session.start();
+  sim.run();
+  session.finalize();
+  return {session_fingerprint(session).value(), session.counters()};
+}
+
+std::vector<std::uint64_t> ledger_words(const core::SessionCounters& c);
+
+// Sessions sharded over the pool, stored by broadcast index, folded in
+// index order: the same bytes at every thread count.
+std::uint64_t fault_sweep_fingerprint(std::uint64_t seed, unsigned threads,
+                                      core::SessionCounters* merged) {
+  constexpr std::size_t kBroadcasts = 36;
+  const auto catalog = geo::DatacenterCatalog::paper_footprint();
+  std::vector<FaultyBroadcast> runs(kBroadcasts);
+  sim::parallel_for_shards(
+      kBroadcasts, threads,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+          runs[i] = randomized_fault_session(catalog, seed, i);
+      });
+  Fingerprint h;
+  for (const FaultyBroadcast& r : runs) {
+    h.mix(r.fingerprint);
+    merged->merge(r.counters);
+  }
+  return h.value();
+}
+
 TEST(ResilienceDeterminism, ByteIdenticalAtThreads128) {
-  const auto traces = small_trace_set(1);
-  analysis::ResilienceConfig cfg;
-  cfg.faults.faults_per_minute = 2.0;
-  cfg.seed = 77;
-
-  cfg.threads = 1;
-  const auto r1 = analysis::resilience_experiment(traces, cfg);
-  ASSERT_GT(r1.counters.faults_injected, 0u);
-
+  core::SessionCounters c1;
+  const std::uint64_t fp1 = fault_sweep_fingerprint(77, 1, &c1);
+  ASSERT_GT(c1.faults_injected, 0u);
+  ASSERT_GT(c1.rtmp_failovers, 0u);
+  ASSERT_GT(c1.edge_failovers, 0u);
+  EXPECT_TRUE(c1.failovers_accounted());
   for (unsigned threads : {2u, 8u}) {
-    cfg.threads = threads;
-    const auto rn = analysis::resilience_experiment(traces, cfg);
-    EXPECT_EQ(fingerprint(r1), fingerprint(rn))
-        << "resilience run diverged at threads=" << threads;
+    core::SessionCounters cn;
+    EXPECT_EQ(fault_sweep_fingerprint(77, threads, &cn), fp1)
+        << "fault sessions diverged at threads=" << threads;
+    EXPECT_EQ(ledger_words(cn), ledger_words(c1)) << threads;
   }
 }
 
+// The seed reaches every session: its fault scripts and its viewers.
 TEST(ResilienceDeterminism, SeedChangesResults) {
-  const auto traces = small_trace_set(1);
-  analysis::ResilienceConfig cfg;
-  cfg.faults.faults_per_minute = 2.0;
-  cfg.seed = 77;
-  const auto a = analysis::resilience_experiment(traces, cfg);
-  cfg.seed = 78;
-  const auto b = analysis::resilience_experiment(traces, cfg);
-  EXPECT_NE(fingerprint(a), fingerprint(b));
+  core::SessionCounters a, b;
+  const std::uint64_t fp_a = fault_sweep_fingerprint(77, 1, &a);
+  const std::uint64_t fp_b = fault_sweep_fingerprint(78, 1, &b);
+  EXPECT_NE(fp_a, fp_b);
+  EXPECT_NE(ledger_words(a), ledger_words(b));
 }
 
 TEST(ResilienceDeterminism, FaultySessionIsReproducible) {
@@ -796,10 +816,11 @@ TEST(SessionCounters, ForEachFieldVisitsEveryFieldOnce) {
       "orphaned_viewers",        "rtmp_rejoins",
       "edge_spills",             "steered_joins",
       "corrupted_downloads",     "proactive_migrations",
-      "overlay_assists",         "failover_latency_s",
-      "edge_failover_latency_s", "reattach_latency_s",
-      "spill_distance_km",       "control_drains",
-      "faults_injected"};
+      "overlay_assists",         "poll_retry_giveups",
+      "unscored_rtmp_failovers", "unscored_edge_failovers",
+      "failover_latency_s",      "edge_failover_latency_s",
+      "reattach_latency_s",      "spill_distance_km",
+      "control_drains",          "faults_injected"};
   EXPECT_EQ(f.names, expected);
   // Each named member received exactly the number of its visit.
   EXPECT_EQ(c.rtmp_failovers, 1u);
@@ -811,12 +832,15 @@ TEST(SessionCounters, ForEachFieldVisitsEveryFieldOnce) {
   EXPECT_EQ(c.corrupted_downloads, 7u);
   EXPECT_EQ(c.proactive_migrations, 8u);
   EXPECT_EQ(c.overlay_assists, 9u);
-  EXPECT_EQ(c.failover_latency_s.min(), 10.0);
-  EXPECT_EQ(c.edge_failover_latency_s.min(), 11.0);
-  EXPECT_EQ(c.reattach_latency_s.min(), 12.0);
-  EXPECT_EQ(c.spill_distance_km.min(), 13.0);
-  EXPECT_EQ(c.control_drains, 14u);
-  EXPECT_EQ(c.faults_injected, 15u);
+  EXPECT_EQ(c.poll_retry_giveups, 10u);
+  EXPECT_EQ(c.unscored_rtmp_failovers, 11u);
+  EXPECT_EQ(c.unscored_edge_failovers, 12u);
+  EXPECT_EQ(c.failover_latency_s.min(), 13.0);
+  EXPECT_EQ(c.edge_failover_latency_s.min(), 14.0);
+  EXPECT_EQ(c.reattach_latency_s.min(), 15.0);
+  EXPECT_EQ(c.spill_distance_km.min(), 16.0);
+  EXPECT_EQ(c.control_drains, 17u);
+  EXPECT_EQ(c.faults_injected, 18u);
 }
 
 TEST(SessionCounters, MergeIsFieldWiseSumAndAccumulatorMerge) {
@@ -826,7 +850,7 @@ TEST(SessionCounters, MergeIsFieldWiseSumAndAccumulatorMerge) {
   m.merge(b);
   const LedgerFields fa = ledger_fields(a), fb = ledger_fields(b),
                      fm = ledger_fields(m);
-  ASSERT_EQ(fm.counts.size(), 11u);
+  ASSERT_EQ(fm.counts.size(), 14u);
   for (std::size_t i = 0; i < fm.counts.size(); ++i)
     EXPECT_EQ(fm.counts[i], fa.counts[i] + fb.counts[i]) << fm.names[i];
   ASSERT_EQ(fm.accumulators.size(), 4u);
